@@ -53,6 +53,7 @@ from .errors import (
     DegenerateInput,
     DomainError,
     IndexOutOfRange,
+    InvalidArgument,
     InvalidDimension,
     InvalidRep,
     InvalidSize,
@@ -91,7 +92,7 @@ from .hodge import (
     hopf_manifold_cohomology,
     mall_diamond,
 )
-from .snf import IntMatrix, cofactor_determinant, determinant, rank, smith_normal_form
+from .snf import IntMatrix, determinant, invariant_factors, rank, smith_normal_form
 from .tduality import (
     FluxedBundle,
     correspondence_h7,

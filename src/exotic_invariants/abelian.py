@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .snf import IntMatrix, smith_normal_form
+from .snf import IntMatrix, invariant_factors, rank
 
 
 def divisibility_chain(orders) -> tuple:
@@ -119,17 +119,13 @@ def cokernel_group(M: IntMatrix) -> AbelianGroup:
     >>> print(cokernel_group(IntMatrix.from_rows([[0]])))
     Z
     """
-    _, d, _ = smith_normal_form(M)
-    diag = d.diagonal()
-    r = sum(1 for x in diag if x != 0)
-    return AbelianGroup(M.rows - r, tuple(x for x in diag if x >= 2))
+    diag = invariant_factors(M)
+    return AbelianGroup(M.rows - sum(1 for x in diag if x), tuple(x for x in diag if x >= 2))
 
 
 def kernel_group(M: IntMatrix) -> AbelianGroup:
     """Kernel of M acting on Z^cols; always free."""
-    _, d, _ = smith_normal_form(M)
-    r = sum(1 for x in d.diagonal() if x != 0)
-    return AbelianGroup.free(M.cols - r)
+    return AbelianGroup.free(M.cols - rank(M))
 
 
 def tensor_and_tor(a: AbelianGroup, b: AbelianGroup):

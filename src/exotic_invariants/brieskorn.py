@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import IndexOutOfRange, InvalidSize, OutOfFamily
+from .errors import IndexOutOfRange, InvalidArgument, InvalidSize, OutOfFamily
 from .snf import IntMatrix
 
 FAMILY_RANGE = range(1, 29)
@@ -32,9 +32,9 @@ class BrieskornPham:
 
     def __post_init__(self):
         if len(self.exponents) < 1:
-            raise ValueError("need at least one exponent")
+            raise InvalidArgument("need at least one exponent")
         if any(a < 2 for a in self.exponents):
-            raise ValueError("exponents must all be >= 2")
+            raise InvalidArgument("exponents must all be >= 2")
 
     @classmethod
     def of(cls, *exponents: int) -> "BrieskornPham":
@@ -54,9 +54,9 @@ class MilnorLattice:
     def __post_init__(self):
         n = len(self.index_set)
         if self.gram.rows != n or self.gram.cols != n:
-            raise ValueError("gram matrix must be square of the basis size")
+            raise InvalidArgument("gram matrix must be square of the basis size")
         if any(self.gram[i, i] != 2 for i in range(n)):
-            raise ValueError("vanishing cycles have self-intersection 2")
+            raise InvalidArgument("vanishing cycles have self-intersection 2")
 
     @property
     def rank(self) -> int:
@@ -71,7 +71,7 @@ class Spectrum:
 
     def __post_init__(self):
         if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
-            raise ValueError("spectrum values must be sorted")
+            raise InvalidArgument("spectrum values must be sorted")
 
     @property
     def minimum(self) -> Fraction:

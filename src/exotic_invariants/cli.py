@@ -5,8 +5,8 @@ JSON document with --json: keys sorted, two-space indent, no floats, and
 rationals rendered as lowest-terms "p/q" strings, so parsing the output
 and re-serializing it reproduces the bytes exactly.
 
-Exit status: 0 on success, 1 on domain errors (with a one-line diagnostic
-on stderr), 2 on usage errors.
+Exit status: 0 on success, 1 on domain errors and 2 on invalid arguments
+(each with a one-line "error:" diagnostic on stderr), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .bundles import (
     characteristic_classes,
     lambda_invariant,
 )
-from .errors import DomainError, OutOfFamily
+from .errors import DomainError, InvalidArgument, OutOfFamily
 from .tduality import (
     FluxedBundle,
     dual_pair_summary,
@@ -481,6 +481,9 @@ def run(argv) -> int:
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except InvalidArgument as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -2,8 +2,14 @@
 
 DomainError subclasses signal well-formed requests whose answer does not
 exist (wrong bundle type, out-of-range family index, ...).  The CLI maps
-them to exit status 1; genuine usage errors exit with status 2.
+them to exit status 1.  InvalidArgument signals a constructor argument
+outside its type's range (an exponent below 2, a group order below 1);
+the CLI maps it, like the usage errors of its parser, to exit status 2.
 """
+
+
+class InvalidArgument(ValueError):
+    """Raised for constructor arguments outside the range the type allows."""
 
 
 class DomainError(Exception):

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from .brieskorn import milnor_family, weights_and_degree
-from .errors import ConfigMismatch, InvalidRep, OutOfFamily, Unreachable
+from .errors import ConfigMismatch, InvalidArgument, InvalidRep, OutOfFamily, Unreachable
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class GroupConfig:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("group order must be >= 1")
+            raise InvalidArgument("group order must be >= 1")
 
     @property
     def coeff_coprime(self) -> bool:
@@ -48,7 +48,7 @@ class Theta7Element:
 
     def __post_init__(self):
         if not 0 <= self.residue < self.config.order:
-            raise ValueError(f"residue {self.residue} outside 0..{self.config.order - 1}")
+            raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class Sigma8Element:
 
     def __post_init__(self):
         if not 0 <= self.residue < self.config.order:
-            raise ValueError(f"residue {self.residue} outside 0..{self.config.order - 1}")
+            raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form intermediates can blow up far past 64 bits even for small inputs, so
 no fixed-width array library is used.
 
+`invariant_factors` returns the Smith diagonal alone, all that ranks,
+kernels and cokernels need.  `smith_normal_form` runs the same elimination
+and also carries the unimodular transforms U and V, whose entries are
+where the integers grow; call it only when U or V is needed.
+
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
 >>> D.diagonal()
@@ -15,6 +20,8 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 
 @dataclass(frozen=True)
@@ -71,126 +78,137 @@ class IntMatrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        flat = tuple(self[i, j] for j in range(self.cols) for i in range(self.rows))
-        return IntMatrix(self.cols, self.rows, flat)
+        e, c = self.entries, self.cols
+        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
-        flat = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                flat.append(sum(ri[t] * other[t, j] for t in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(flat))
+        e, n, c = self.entries, self.cols, other.cols
+        columns = [other.entries[j::c] for j in range(c)]
+        flat = tuple(
+            sum(map(mul, e[i * n : (i + 1) * n], col))
+            for i in range(self.rows)
+            for col in columns
+        )
+        return IntMatrix(self.rows, c, flat)
 
     def diagonal(self) -> list:
-        return [self[i, i] for i in range(min(self.rows, self.cols))]
+        return list(self.entries[:: self.cols + 1][: min(self.rows, self.cols)])
 
     def is_diagonal(self) -> bool:
-        return all(
-            self[i, j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
+        # Off-diagonal entries are all zero when the diagonal holds every nonzero one.
+        return sum(map(bool, self.entries)) == sum(map(bool, self.diagonal()))
+
+
+def _eliminate(a, u=None, vt=None) -> None:
+    """Reduce the rows `a` in place to the Smith diagonal, repeating the row
+    operations on the rows `u` of U and the column operations on the rows
+    `vt` of V transposed, when those are given.
+
+    Each pivot is the first smallest-magnitude nonzero entry of the block
+    left, in row-major order, which keeps growth in check and the output
+    deterministic.  Rows and columns before step t are zero off the
+    diagonal, so row operations start at column t and a column operation
+    touches only the rows nonzero in column t.
+    """
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    t = 0
+    while t < min(nrows, ncols):
+        pos = _min_pivot(a, t)
+        if pos is None:
+            break
+        i, j = pos
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
+            for r in a[t:]:
+                r[t], r[j] = r[j], r[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
+        top = a[t]
+        if top[t] < 0:
+            top[t:] = [-x for x in top[t:]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
+        p, head = top[t], top[t:]
+        dirty = False
+        for i in range(t + 1, nrows):
+            r = a[i]
+            if r[t]:
+                q = r[t] // p
+                r[t:] = [x - q * y for x, y in zip(r[t:], head)]
+                if u is not None:
+                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                dirty = dirty or r[t] != 0
+        live = [(r, r[t]) for r in a[t:] if r[t]]
+        for j in range(t + 1, ncols):
+            if top[j]:
+                q = top[j] // p
+                for r, c in live:
+                    r[j] -= q * c
+                if vt is not None:
+                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                dirty = dirty or top[j] != 0
+        if dirty:
+            continue  # remainders survived; pick a smaller pivot
+
+        # Pivot must divide the rest of the block for d_t | d_{t+1} | ...
+        rest = (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 :]))
+        offender = next(rest, None)
+        if offender is not None:
+            top[t:] = [x + y for x, y in zip(top[t:], a[offender][t:])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[offender])]
+            continue
+        t += 1
+
+
+def _min_pivot(a, t):
+    """Position of the first smallest-magnitude nonzero entry of the block
+    from (t, t) in row-major order, or None if the block is zero."""
+    best, pos = 0, None
+    for i in range(t, len(a)):
+        for j, x in enumerate(a[i][t:], t):
+            if x and (pos is None or abs(x) < best):
+                best, pos = abs(x), (i, j)
+    return pos
+
+
+def invariant_factors(M: IntMatrix) -> list:
+    """The Smith diagonal d1 | d2 | ... of M, min(rows, cols) entries long,
+    from the elimination of `smith_normal_form` without U and V.
+
+    >>> invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
+    [2, 6, 12]
+    """
+    a = M.to_lists()
+    _eliminate(a)
+    return [a[i][i] for i in range(min(M.rows, M.cols))]
 
 
 def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U @ M @ V == D.
 
     U and V are square and unimodular (determinant +-1), and D is diagonal
-    with nonnegative entries d1 | d2 | ... .  The pivot at each step is the
-    smallest-magnitude nonzero entry of the remaining block, which keeps
-    intermediate growth in check and makes the output deterministic.
+    with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .
     """
     a = M.to_lists()
-    nrows, ncols = M.rows, M.cols
-    u = IntMatrix.identity(nrows).to_lists()
-    v = IntMatrix.identity(ncols).to_lists()
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for r in a:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def add_row(dst, src, q):
-        # row dst += q * row src
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
-    def min_pivot(t):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(nrows, ncols):
-        pos = min_pivot(t)
-        if pos is None:
-            break
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        if a[t][t] < 0:
-            negate_row(t)
-
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t] != 0:
-                add_row(i, t, -(a[i][t] // a[t][t]))
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, ncols):
-            if a[t][j] != 0:
-                add_col(j, t, -(a[t][j] // a[t][t]))
-                dirty = dirty or a[t][j] != 0
-        if dirty:
-            continue  # remainders survived; pick a smaller pivot
-
-        # Pivot must divide the rest of the block for d_t | d_{t+1} | ...
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        t += 1
-
-    d = IntMatrix.from_rows(a) if nrows else IntMatrix.zero(0, ncols)
-    return IntMatrix.from_rows(u) if nrows else IntMatrix.identity(0), d, (
-        IntMatrix.from_rows(v) if ncols else IntMatrix.identity(0)
+    u, vt = IntMatrix.identity(M.rows).to_lists(), IntMatrix.identity(M.cols).to_lists()
+    _eliminate(a, u, vt)
+    flat = chain.from_iterable
+    return (
+        IntMatrix(M.rows, M.rows, tuple(flat(u))),
+        IntMatrix(M.rows, M.cols, tuple(flat(a))),
+        IntMatrix(M.cols, M.cols, tuple(flat(zip(*vt)))),
     )
 
 
 def rank(M: IntMatrix) -> int:
     """Rank over the rationals, read off the Smith diagonal."""
-    _, d, _ = smith_normal_form(M)
-    return sum(1 for x in d.diagonal() if x != 0)
+    return sum(1 for x in invariant_factors(M) if x != 0)
 
 
 def determinant(M: IntMatrix) -> int:
@@ -223,29 +241,3 @@ def determinant(M: IntMatrix) -> int:
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
-
-def cofactor_determinant(M: IntMatrix) -> int:
-    """Textbook cofactor expansion along the first row, skipping zeros.
-
-    Exponential in general but fine for the small and sparse matrices it is
-    used on; serves as an independent check on SNF-based determinants.
-    """
-    if M.rows != M.cols:
-        raise ValueError("determinant needs a square matrix")
-
-    def expand(rows):
-        n = len(rows)
-        if n == 0:
-            return 1
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        sign = 1
-        for j, coeff in enumerate(rows[0]):
-            if coeff != 0:
-                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-                total += sign * coeff * expand(minor)
-            sign = -sign
-        return total
-
-    return expand(M.to_lists())

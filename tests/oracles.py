@@ -45,3 +45,52 @@ def divisor_enumeration_oracle(m, j):
     assert admissible, f"no admissible torsion order for m={m}, j={j}"
     assert len(admissible) == 1, f"ambiguous torsion order for m={m}, j={j}"
     return admissible[0]
+
+
+def cofactor_determinant(M):
+    """Textbook cofactor expansion along the first row, skipping zeros.
+
+    Exponential in general but fine for the small and sparse matrices it is
+    used on; serves as an independent check on SNF-based determinants.
+    """
+    if M.rows != M.cols:
+        raise ValueError("determinant needs a square matrix")
+
+    def expand(rows):
+        n = len(rows)
+        if n == 0:
+            return 1
+        if n == 1:
+            return rows[0][0]
+        total = 0
+        sign = 1
+        for j, coeff in enumerate(rows[0]):
+            if coeff != 0:
+                minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+                total += sign * coeff * expand(minor)
+            sign = -sign
+        return total
+
+    return expand(M.to_lists())
+
+
+def fraction_free_rank(rows):
+    """Rank over the rationals by fraction-free (Bareiss) row reduction.
+
+    Each entry below the pivots stays a minor of the input, so every
+    division is exact; columns with no pivot left are skipped.
+    """
+    a = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        top = a[rank]
+        for i in range(rank + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x * top[c] - f * y) // prev for x, y in zip(a[i], top)]
+        prev = top[c]
+        rank += 1
+    return rank

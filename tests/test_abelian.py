@@ -14,7 +14,8 @@ from exotic_invariants.abelian import (
     sphere_cohomology,
     tensor_and_tor,
 )
-from exotic_invariants.snf import IntMatrix, cofactor_determinant
+from exotic_invariants.snf import IntMatrix
+from oracles import cofactor_determinant
 
 
 def groups_strategy():

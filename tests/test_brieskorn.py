@@ -22,7 +22,8 @@ from exotic_invariants.brieskorn import (
     weights_and_degree,
 )
 from exotic_invariants.errors import IndexOutOfRange, InvalidSize, OutOfFamily
-from exotic_invariants.snf import IntMatrix, cofactor_determinant
+from exotic_invariants.snf import IntMatrix
+from oracles import cofactor_determinant
 
 exponent_vectors = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
 

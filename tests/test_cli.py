@@ -129,6 +129,23 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["theta7", "1", "1", "--order", "0"],
+        ["brieskorn", "1", "2"],
+        ["spectrum", "2", "1", "--json"],
+        ["lattice", "1", "3"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_arguments_exit_two(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_negative_positionals_parse(capsys):
     assert run(["milnor", "-3", "4"]) == 0
     capsys.readouterr()

@@ -1,14 +1,15 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exotic_invariants.snf import (
     IntMatrix,
-    cofactor_determinant,
     determinant,
+    invariant_factors,
     rank,
     smith_normal_form,
 )
+from oracles import cofactor_determinant, fraction_free_rank
 
 
 def matrices(max_dim=6, bound=20):
@@ -21,6 +22,24 @@ def matrices(max_dim=6, bound=20):
             ).map(IntMatrix.from_rows)
         )
     )
+
+
+def grids(rows, cols, bound=20):
+    return st.lists(
+        st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols
+    ).map(lambda e: IntMatrix(rows, cols, tuple(e)))
+
+
+def shaped_matrices(max_dim=6):
+    """Rectangular, rank-deficient (a product through a thin middle) and
+    zero matrices, with empty shapes among them."""
+    dims = st.integers(0, max_dim)
+    dense = st.tuples(dims, dims).flatmap(lambda s: grids(*s))
+    thin = st.tuples(dims, st.integers(0, 2), dims).flatmap(
+        lambda s: st.tuples(grids(s[0], s[1], 5), grids(s[1], s[2], 5))
+    ).map(lambda f: f[0] @ f[1])
+    zero = st.tuples(dims, dims).map(lambda s: IntMatrix.zero(*s))
+    return st.one_of(dense, thin, zero)
 
 
 def is_divisibility_chain(diag):
@@ -73,6 +92,40 @@ def test_determinant_routes_agree(m):
 @settings(max_examples=100)
 def test_rank_bounded(m):
     assert 0 <= rank(m) <= min(m.rows, m.cols)
+
+
+@given(shaped_matrices())
+@example(IntMatrix.zero(0, 0))
+@example(IntMatrix.zero(0, 3))
+@example(IntMatrix.zero(3, 0))
+@settings(max_examples=200)
+def test_invariant_factors_match_smith_diagonal(m):
+    assert invariant_factors(m) == smith_normal_form(m)[1].diagonal()
+
+
+@given(shaped_matrices())
+@settings(max_examples=200)
+def test_rank_matches_fraction_free_oracle(m):
+    assert rank(m) == fraction_free_rank(m.to_lists())
+
+
+def test_empty_shapes():
+    for rows, cols in [(0, 0), (0, 3), (3, 0)]:
+        m = IntMatrix.zero(rows, cols)
+        u, d, v = smith_normal_form(m)
+        assert (u, d, v) == (IntMatrix.identity(rows), m, IntMatrix.identity(cols))
+        assert invariant_factors(m) == [] and rank(m) == 0
+
+
+def test_transforms_are_pinned():
+    # The pivot rule fixes U and V, not just D; callers may rely on them.
+    m = IntMatrix.from_rows([[4, 7, -2, 0], [6, 3, 5, 9], [-8, 2, 10, 6]])
+    u, d, v = smith_normal_form(m)
+    assert u.to_lists() == [[-1, 0, 0], [19, -1, 1], [-72, 6, -5]]
+    assert d.diagonal() == [1, 1, 4] and d.is_diagonal()
+    assert v.to_lists() == [
+        [0, 2, 36, 105], [1, 0, -2, -6], [4, 4, 65, 189], [0, -3, -59, -173]
+    ]
 
 
 def test_transpose_and_matmul_shapes():
