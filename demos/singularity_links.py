@@ -12,7 +12,7 @@ from exotic_invariants import (
     canonical_type,
     milnor_family,
     milnor_lattice,
-    milnor_number_and_basis,
+    milnor_number,
     spectrum,
     weights_and_degree,
 )
@@ -21,7 +21,7 @@ print("First few members of the link family")
 print("------------------------------------")
 for k in (1, 2, 3):
     bp = milnor_family(k)
-    mu, _ = milnor_number_and_basis(bp)
+    mu = milnor_number(bp)
     ell, weights = weights_and_degree(bp)
     kind, gorenstein = canonical_type(bp)
     print(

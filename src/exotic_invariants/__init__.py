@@ -13,7 +13,6 @@ from .abelian import (
     AbelianGroup,
     GradedGroups,
     cokernel_group,
-    group_equal,
     kernel_group,
     kunneth,
     sphere_cohomology,
@@ -96,7 +95,6 @@ from .snf import IntMatrix, determinant, invariant_factors, rank, smith_normal_f
 from .tduality import (
     FluxedBundle,
     correspondence_h7,
-    dual_pair_summary,
     euler_preserving_dual,
     lifted_flux,
     principal_dual,

@@ -106,11 +106,6 @@ TRIVIAL = AbelianGroup(0, ())
 Z = AbelianGroup(1, ())
 
 
-def group_equal(a: AbelianGroup, b: AbelianGroup) -> bool:
-    """Structural equality of normalized groups (i.e. isomorphism)."""
-    return a.free_rank == b.free_rank and a.torsion == b.torsion
-
-
 def cokernel_group(M: IntMatrix) -> AbelianGroup:
     """Z^rows modulo the column span of M.
 

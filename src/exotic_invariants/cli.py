@@ -1,12 +1,13 @@
 """Command-line front door.
 
-Every subcommand prints a human-readable table by default and a canonical
-JSON document with --json: keys sorted, two-space indent, no floats, and
-rationals rendered as lowest-terms "p/q" strings, so parsing the output
-and re-serializing it reproduces the bytes exactly.
+Each subcommand's `cmd_*` computes one payload and `run` alone prints it:
+with --json as canonical JSON (keys sorted, two-space indent, no floats,
+rationals as lowest-terms "p/q" strings, so re-serializing the parsed
+output reproduces the bytes), otherwise through the subcommand's `*_table`
+renderer, which reads only the payload.
 
-Exit status: 0 on success, 1 on domain errors and 2 on invalid arguments
-(each with a one-line "error:" diagnostic on stderr), 2 on usage errors.
+Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
+usage errors; all but usage errors print one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from .bundles import (
 from .errors import DomainError, InvalidArgument, OutOfFamily
 from .tduality import (
     FluxedBundle,
-    dual_pair_summary,
+    correspondence_h7,
     euler_preserving_dual,
+    lifted_flux,
     principal_dual,
 )
 
@@ -63,28 +65,39 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def emit(args, payload: dict, table: str) -> None:
-    if args.json:
-        payload["schema_version"] = SCHEMA_VERSION
-        print(canonical_json(payload))
-    else:
-        print(table)
+def _group(g: dict) -> AbelianGroup:
+    return AbelianGroup(g["free_rank"], tuple(g["torsion"]))
 
 
-def graded_table(gg: GradedGroups) -> str:
-    if not gg.items():
+def _fluxed(fb: dict) -> FluxedBundle:
+    return FluxedBundle(MilnorBundle(**fb["bundle"]), fb["flux"])
+
+
+def graded_table(cohomology: list) -> str:
+    if not cohomology:
         return "  (all degrees trivial)"
-    return "\n".join(f"  H^{d} = {g}" for d, g in gg.items())
+    return "\n".join(f"  H^{d} = {_group(g)}" for d, g in cohomology)
 
 
-def cmd_milnor(args) -> int:
+def weighted_type_json(bp: bk.BrieskornPham) -> dict:
+    """Degree, weights, canonical type and Gorenstein parameter of bp."""
+    ell, weights = bk.weights_and_degree(bp)
+    kind, gorenstein = bk.canonical_type(bp)
+    return {
+        "degree": ell,
+        "weights": list(weights),
+        "type": kind.value,
+        "gorenstein": rational_str(gorenstein),
+    }
+
+
+def cmd_milnor(args) -> dict:
     b = MilnorBundle(args.m, args.n)
     cls = characteristic_classes(b)
     lam = None
     if args.require_lambda or cls.homotopy_sphere:
         lam = lambda_invariant(b)  # raises NotHomotopySphere when forced
-    coh = bundle_cohomology(b)
-    payload = {
+    return {
         "bundle": bundle_json(b),
         "canonical": bundle_json(canonical_form(b)),
         "euler": cls.euler,
@@ -92,113 +105,116 @@ def cmd_milnor(args) -> int:
         "principal": cls.principal,
         "homotopy_sphere": cls.homotopy_sphere,
         "lambda": lam,
-        "cohomology": graded_json(coh),
+        "cohomology": graded_json(bundle_cohomology(b)),
     }
+
+
+def milnor_table(p: dict) -> str:
     lines = [
-        f"{b}: euler {cls.euler}, p1 {cls.pontryagin}, "
-        f"{'principal' if cls.principal else 'non-principal'}",
-        f"  canonical representative {canonical_form(b)}",
+        f"{MilnorBundle(**p['bundle'])}: euler {p['euler']}, p1 {p['pontryagin']}, "
+        f"{'principal' if p['principal'] else 'non-principal'}",
+        f"  canonical representative {MilnorBundle(**p['canonical'])}",
     ]
-    if cls.homotopy_sphere:
-        verdict = "standard" if lam == 0 else "exotic"
-        lines.append(f"  homotopy 7-sphere, lambda = {lam} ({verdict})")
-    lines.append("cohomology:")
-    lines.append(graded_table(coh))
-    emit(args, payload, "\n".join(lines))
-    return 0
+    if p["homotopy_sphere"]:
+        verdict = "standard" if p["lambda"] == 0 else "exotic"
+        lines.append(f"  homotopy 7-sphere, lambda = {p['lambda']} ({verdict})")
+    lines += ["cohomology:", graded_table(p["cohomology"])]
+    return "\n".join(lines)
 
 
-def cmd_tdual(args) -> int:
+def cmd_tdual(args) -> dict:
     fb = FluxedBundle(MilnorBundle(args.m, args.k - args.m), args.flux)
     if args.principal:
         dual = principal_dual(fb)  # NotPrincipal -> exit 1
     else:
         dual = euler_preserving_dual(fb)
-    summary = dual_pair_summary(fb)
     payload = {
         "input": fluxed_json(fb),
         "rule": "principal" if args.principal else "euler_preserving",
         "dual": fluxed_json(dual),
     }
-    lines = [f"{fb}  <-->  {dual}"]
-    if "correspondence_h7" in summary:
-        payload["correspondence_h7"] = group_json(summary["correspondence_h7"])
-        payload["lifted_flux"] = summary["lifted_flux"]
-        lines.append(f"  correspondence H^7 = {summary['correspondence_h7']}")
-        lines.append(f"  common lifted flux = {summary['lifted_flux']}")
-    emit(args, payload, "\n".join(lines))
-    return 0
+    if args.m != 0 or args.flux != 0:
+        payload["correspondence_h7"] = group_json(correspondence_h7(args.m, args.flux))
+        payload["lifted_flux"] = lifted_flux(args.m, args.flux)
+    return payload
 
 
-def cmd_brieskorn(args) -> int:
+def tdual_table(p: dict) -> str:
+    lines = [f"{_fluxed(p['input'])}  <-->  {_fluxed(p['dual'])}"]
+    if "correspondence_h7" in p:
+        lines.append(f"  correspondence H^7 = {_group(p['correspondence_h7'])}")
+        lines.append(f"  common lifted flux = {p['lifted_flux']}")
+    return "\n".join(lines)
+
+
+def cmd_brieskorn(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
-    mu, _ = bk.milnor_number_and_basis(bp)
-    ell, weights = bk.weights_and_degree(bp)
-    kind, gorenstein = bk.canonical_type(bp)
     payload = {
         "exponents": list(bp.exponents),
-        "milnor_number": mu,
-        "degree": ell,
-        "weights": list(weights),
-        "type": kind.value,
-        "gorenstein": rational_str(gorenstein),
+        "milnor_number": bk.milnor_number(bp),
+        **weighted_type_json(bp),
         "sphere_link_family": bk.in_sphere_link_family(bp),
     }
-    lines = [
-        f"exponents {bp}",
-        f"  milnor number mu = {mu}",
-        f"  degree ell = {ell}, weights {weights}",
-        f"  type {kind.value}, gorenstein parameter {rational_str(gorenstein)}",
-    ]
     if args.spectrum:
-        sp = bk.spectrum(bp)
-        payload["spectrum"] = [rational_str(v) for v in sp.values]
-        payload["spectrum_min"] = rational_str(sp.minimum)
-        lines.append(f"  spectrum min = {rational_str(sp.minimum)}")
-        lines.append("  spectrum: " + " ".join(rational_str(v) for v in sp.values))
-    emit(args, payload, "\n".join(lines))
-    return 0
+        values = [rational_str(v) for v in bk.spectrum(bp).values]
+        payload["spectrum"] = values
+        payload["spectrum_min"] = values[0]
+    return payload
 
 
-def cmd_lattice(args) -> int:
+def brieskorn_table(p: dict) -> str:
+    lines = [
+        f"exponents {bk.BrieskornPham.of(*p['exponents'])}",
+        f"  milnor number mu = {p['milnor_number']}",
+        f"  degree ell = {p['degree']}, weights {tuple(p['weights'])}",
+        f"  type {p['type']}, gorenstein parameter {p['gorenstein']}",
+    ]
+    if "spectrum" in p:
+        lines.append(f"  spectrum min = {p['spectrum_min']}")
+        lines.append("  spectrum: " + " ".join(p["spectrum"]))
+    return "\n".join(lines)
+
+
+def cmd_lattice(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
     lat = bk.milnor_lattice(bp)
-    payload = {
+    return {
         "exponents": list(bp.exponents),
         "rank": lat.rank,
         "index_set": [list(t) for t in lat.index_set],
         "gram": lat.gram.to_lists(),
     }
-    lines = [f"milnor lattice of {bp}: rank {lat.rank}"]
-    for row in lat.gram.to_lists():
+
+
+def lattice_table(p: dict) -> str:
+    bp = bk.BrieskornPham.of(*p["exponents"])
+    lines = [f"milnor lattice of {bp}: rank {p['rank']}"]
+    for row in p["gram"]:
         lines.append("  " + " ".join(f"{x:3d}" for x in row))
-    emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
-    sp = bk.spectrum(bp)
-    payload = {
+    values = [rational_str(v) for v in bk.spectrum(bp).values]
+    return {
         "exponents": list(bp.exponents),
-        "count": len(sp),
-        "min": rational_str(sp.minimum),
-        "values": [rational_str(v) for v in sp.values],
+        "count": len(values),
+        "min": values[0],
+        "values": values,
     }
-    table = (
-        f"spectrum of {bp} ({len(sp)} values, min {rational_str(sp.minimum)}):\n  "
-        + " ".join(rational_str(v) for v in sp.values)
+
+
+def spectrum_table(p: dict) -> str:
+    return (
+        f"spectrum of {bk.BrieskornPham.of(*p['exponents'])} "
+        f"({p['count']} values, min {p['min']}):\n  "
+        + " ".join(p["values"])
     )
-    emit(args, payload, table)
-    return 0
 
 
-def _config(args) -> gr.GroupConfig:
-    return gr.GroupConfig(order=args.order, coeff=args.coeff)
-
-
-def cmd_theta7(args) -> int:
-    cfg = _config(args)
+def cmd_theta7(args) -> dict:
+    cfg = gr.GroupConfig(order=args.order, coeff=args.coeff)
     elem = gr.sigma33(args.m, args.n, cfg)
     payload = {
         "order": cfg.order,
@@ -207,10 +223,6 @@ def cmd_theta7(args) -> int:
         "pair": [args.m, args.n],
         "residue": elem.residue,
     }
-    lines = [
-        f"sigma33({args.m}, {args.n}) = {elem.residue} in Z_{cfg.order}"
-        f" (coeff {cfg.coeff})"
-    ]
     if args.steps is not None:
         start, step, target = (gr.theta7(v, cfg) for v in args.steps)
         count = gr.de_sapio_steps(start, step, target)  # Unreachable -> exit 1
@@ -220,95 +232,107 @@ def cmd_theta7(args) -> int:
             "target": target.residue,
             "count": count,
         }
+    return payload
+
+
+def theta7_table(p: dict) -> str:
+    m, n = p["pair"]
+    lines = [
+        f"sigma33({m}, {n}) = {p['residue']} in Z_{p['order']} (coeff {p['coeff']})"
+    ]
+    if "steps" in p:
+        s = p["steps"]
         lines.append(
-            f"  {start.residue} + {count} * {step.residue} = {target.residue}"
-            f" (mod {cfg.order})"
+            f"  {s['start']} + {s['count']} * {s['step']} = {s['target']}"
+            f" (mod {p['order']})"
         )
-    emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_sigma8(args) -> int:
-    cfg = _config(args)
+def cmd_sigma8(args) -> dict:
+    cfg = gr.GroupConfig(order=args.order, coeff=args.coeff)
     elem = gr.sigma_tilde8(args.m, args.n, args.l, cfg)
-    payload = {
+    return {
         "order": cfg.order,
         "coeff": cfg.coeff,
         "triple": [args.m, args.n, args.l],
         "residue": elem.residue,
     }
-    emit(
-        args,
-        payload,
-        f"sigma_tilde({args.m}, {args.n}, {args.l}) = {elem.residue} in Z_{cfg.order}",
-    )
-    return 0
 
 
-def cmd_fano(args) -> int:
+def sigma8_table(p: dict) -> str:
+    m, n, l = p["triple"]
+    return f"sigma_tilde({m}, {n}, {l}) = {p['residue']} in Z_{p['order']}"
+
+
+def cmd_fano(args) -> dict:
     classes = [gr.RepClass(l) for l in args.exponents]
     total = gr.RepClass(0)
     for c in classes:
         total = gr.fano_moduli_compose(total, c)
-    payload = {
+    return {
         "exponents": args.exponents,
         "composite": total.exponent,
         "composite_orbifold": gr.is_orbifold_rep(total),
         "orbifold": [gr.is_orbifold_rep(c) for c in classes],
     }
-    table = (
-        f"composite representation exponent {total.exponent}"
-        f" ({'orbifold' if gr.is_orbifold_rep(total) else 'not an orbifold'} quotient)"
+
+
+def fano_table(p: dict) -> str:
+    return (
+        f"composite representation exponent {p['composite']}"
+        f" ({'orbifold' if p['composite_orbifold'] else 'not an orbifold'} quotient)"
     )
-    emit(args, payload, table)
-    return 0
 
 
-def cmd_isotropy(args) -> int:
+def cmd_isotropy(args) -> dict:
     data = gr.link_isotropies(args.k, args.l)
-    weights = gr.family_weights(args.k)
-    payload = {
+    return {
         "k": args.k,
         "l": args.l,
-        "weights": list(weights),
+        "weights": list(gr.family_weights(args.k)),
         "isotropies": [
             {"support": list(d.support), "b": d.b, "isotropy": list(d.isotropy)}
             for d in data
         ],
     }
-    lines = [f"link k={args.k}, weights {weights}, rep exponent l={args.l}"]
-    for d in data:
+
+
+def isotropy_table(p: dict) -> str:
+    lines = [f"link k={p['k']}, weights {tuple(p['weights'])}, rep exponent l={p['l']}"]
+    for d in p["isotropies"]:
         lines.append(
-            f"  support {d.support}: b = {d.b}, isotropy Z_{d.b} x Z_{args.l}"
+            f"  support {tuple(d['support'])}: b = {d['b']},"
+            f" isotropy Z_{d['b']} x Z_{p['l']}"
         )
-    emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_hodge(args) -> int:
+def cmd_hodge(args) -> dict:
     diamonds = hg.enumerate_admissible_diamonds(args.branch)
-    payload = {
+    return {
         "branch": args.branch,
         "count": len(diamonds),
         "diamonds": [[list(row) for row in d.h] for d in diamonds],
     }
-    blocks = [f"{len(diamonds)} admissible diamond(s) on the {args.branch} branch"]
-    for i, d in enumerate(diamonds):
+
+
+def hodge_table(p: dict) -> str:
+    blocks = [f"{p['count']} admissible diamond(s) on the {p['branch']} branch"]
+    for i, h in enumerate(p["diamonds"]):
         blocks.append(f"--- diamond {i + 1} ---")
-        blocks.append(d.triangle())
-    emit(args, payload, "\n".join(blocks))
-    return 0
+        blocks.append(hg.HodgeDiamond(tuple(map(tuple, h))).triangle())
+    return "\n".join(blocks)
 
 
-def cmd_kunneth(args) -> int:
+def cmd_kunneth(args) -> dict:
     coh = hg.hopf_manifold_cohomology(args.m, args.k)
-    torsion_degrees = [d for d, g in coh.items() if g.torsion]
-    payload = {
+    return {
         "m": args.m,
         "k": args.k,
         "cohomology": graded_json(coh),
         "metadata": {
-            "torsion_degrees": torsion_degrees,
+            "torsion_degrees": [d for d, g in coh.items() if g.torsion],
             "note": (
                 "the Tor-free product formula places the degree-4 torsion "
                 "class in degree 5 as well; closed-form tables listing only "
@@ -316,17 +340,20 @@ def cmd_kunneth(args) -> int:
             ),
         },
     }
-    lines = [f"H*(M({args.m},{args.k - args.m}) x S^1):", graded_table(coh)]
+
+
+def kunneth_table(p: dict) -> str:
+    bundle = MilnorBundle(p["m"], p["k"] - p["m"])
+    lines = [f"H*({bundle} x S^1):", graded_table(p["cohomology"])]
+    torsion_degrees = p["metadata"]["torsion_degrees"]
     if torsion_degrees:
         lines.append(f"  torsion present in degrees {torsion_degrees}")
-    emit(args, payload, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
-def cmd_family_report(args) -> int:
+def cmd_family_report(args) -> dict:
     if args.start > args.end:
-        emit(args, {"rows": []}, "(empty range)")
-        return 0
+        return {"rows": []}
     if args.start not in bk.FAMILY_RANGE or args.end not in bk.FAMILY_RANGE:
         raise OutOfFamily(
             f"range {args.start}..{args.end} leaves the family range 1..28"
@@ -334,9 +361,7 @@ def cmd_family_report(args) -> int:
     rows = []
     for k in range(args.start, args.end + 1):
         bp = bk.milnor_family(k)
-        mu, _ = bk.milnor_number_and_basis(bp)
-        ell, weights = bk.weights_and_degree(bp)
-        kind, gorenstein = bk.canonical_type(bp)
+        mu = bk.milnor_number(bp)
         rows.append(
             {
                 "k": k,
@@ -344,26 +369,27 @@ def cmd_family_report(args) -> int:
                 "mu": mu,
                 "mu_formula": 2 * (6 * k - 2),
                 "mu_match": mu == 2 * (6 * k - 2),
-                "degree": ell,
-                "weights": list(weights),
-                "type": kind.value,
-                "gorenstein": rational_str(gorenstein),
+                **weighted_type_json(bp),
             }
         )
-    header = (
+    return {"rows": rows}
+
+
+def family_report_table(p: dict) -> str:
+    if not p["rows"]:
+        return "(empty range)"
+    lines = [
         f"{'k':>3} {'exponents':>18} {'mu':>5} {'check':>5} {'ell':>5} "
         f"{'weights':>22} {'type':>6} {'gorenstein':>10}"
-    )
-    lines = [header]
-    for r in rows:
+    ]
+    for r in p["rows"]:
         mark = "ok" if r["mu_match"] else "FAIL"
         lines.append(
             f"{r['k']:>3} {str(tuple(r['exponents'])):>18} {r['mu']:>5} {mark:>5} "
             f"{r['degree']:>5} {str(tuple(r['weights'])):>22} {r['type']:>6} "
             f"{r['gorenstein']:>10}"
         )
-    emit(args, {"rows": rows}, "\n".join(lines))
-    return 0
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="insist on the mod-7 invariant (error for non-spheres)",
     )
-    p.set_defaults(func=cmd_milnor)
+    p.set_defaults(func=cmd_milnor, table=milnor_table)
 
     p = sub.add_parser("tdual", parents=[jsonable], help="spherical T-dual pair")
     p.add_argument("--m", type=int, required=True, help="first clutching exponent")
@@ -401,20 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--principal", action="store_true", help="use the principal duality rule"
     )
-    p.set_defaults(func=cmd_tdual)
+    p.set_defaults(func=cmd_tdual, table=tdual_table)
 
     p = sub.add_parser("brieskorn", parents=[jsonable], help="singularity invariants")
     p.add_argument("exponents", type=int, nargs="+")
     p.add_argument("--spectrum", action="store_true", help="include the spectrum")
-    p.set_defaults(func=cmd_brieskorn)
+    p.set_defaults(func=cmd_brieskorn, table=brieskorn_table)
 
     p = sub.add_parser("lattice", parents=[jsonable], help="intersection lattice")
     p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_lattice)
+    p.set_defaults(func=cmd_lattice, table=lattice_table)
 
     p = sub.add_parser("spectrum", parents=[jsonable], help="singularity spectrum")
     p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=cmd_spectrum, table=spectrum_table)
 
     p = sub.add_parser(
         "theta7", parents=[jsonable, grouped], help="sphere-group arithmetic"
@@ -428,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("START", "STEP", "TARGET"),
         help="count connected-sum steps from START to TARGET",
     )
-    p.set_defaults(func=cmd_theta7)
+    p.set_defaults(func=cmd_theta7, table=theta7_table)
 
     p = sub.add_parser(
         "sigma8", parents=[jsonable, grouped], help="product-group arithmetic"
@@ -436,36 +462,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
-    p.set_defaults(func=cmd_sigma8)
+    p.set_defaults(func=cmd_sigma8, table=sigma8_table)
 
     p = sub.add_parser(
         "fano", parents=[jsonable, grouped], help="moduli of circle representations"
     )
     p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_fano)
+    p.set_defaults(func=cmd_fano, table=fano_table)
 
     p = sub.add_parser("isotropy", parents=[jsonable], help="link isotropy types")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.set_defaults(func=cmd_isotropy)
+    p.set_defaults(func=cmd_isotropy, table=isotropy_table)
 
     p = sub.add_parser("hodge", parents=[jsonable], help="admissible Hodge diamonds")
     p.add_argument("--branch", choices=[hg.UNIT, hg.NONUNIT], required=True)
-    p.set_defaults(func=cmd_hodge)
+    p.set_defaults(func=cmd_hodge, table=hodge_table)
 
     p = sub.add_parser(
         "kunneth", parents=[jsonable], help="cohomology of bundle x circle"
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_kunneth)
+    p.set_defaults(func=cmd_kunneth, table=kunneth_table)
 
     p = sub.add_parser(
         "family-report", parents=[jsonable], help="per-k table of link invariants"
     )
     p.add_argument("--start", type=int, default=1)
     p.add_argument("--end", type=int, default=28)
-    p.set_defaults(func=cmd_family_report)
+    p.set_defaults(func=cmd_family_report, table=family_report_table)
 
     return parser
 
@@ -477,13 +503,16 @@ def run(argv) -> int:
     except SystemExit as e:
         return e.code if e.code is not None else 0
     try:
-        return args.func(args)
-    except DomainError as e:
+        payload = args.func(args)
+    except (DomainError, InvalidArgument) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except InvalidArgument as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(e, InvalidArgument) else 1
+    if args.json:
+        payload["schema_version"] = SCHEMA_VERSION
+        print(canonical_json(payload))
+    else:
+        print(args.table(payload))
+    return 0
 
 
 def main() -> None:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from .brieskorn import milnor_family, weights_and_degree
-from .errors import ConfigMismatch, InvalidArgument, InvalidRep, OutOfFamily, Unreachable
+from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,6 @@ class LinkIsotropy:
 def family_weights(k: int) -> tuple:
     """Circle-action weight vector on the k-th link:
     (6, 2(6k-1), 3(6k-1), 3(6k-1), 3(6k-1))."""
-    if not 1 <= k <= 28:
-        raise OutOfFamily(f"family index must be in 1..28, got {k}")
     ell, weights = weights_and_degree(milnor_family(k))
     assert ell == 6 * (6 * k - 1)
     return weights
@@ -154,11 +152,9 @@ def link_isotropies(k: int, l: int) -> list:
     b the gcd of the weights over the support.  Repeated and non-coprime
     weights do occur, so b > 1 supports are genuinely present.
     """
-    if not 1 <= k <= 28:
-        raise OutOfFamily(f"family index must be in 1..28, got {k}")
+    weights = family_weights(k)  # OutOfFamily before the l check
     if l < 1:
         raise InvalidRep(f"representation exponent must be >= 1, got {l}")
-    weights = family_weights(k)
     out = []
     for size in range(2, len(weights) + 1):
         for support in combinations(range(len(weights)), size):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .abelian import AbelianGroup
-from .bundles import MilnorBundle, canonical_form
+from .bundles import MilnorBundle
 from .errors import DegenerateInput, NotPrincipal
 
 
@@ -71,24 +71,3 @@ def lifted_flux(m: int, j: int) -> int:
     if m == 0 and j == 0:
         raise DegenerateInput("lifted flux needs m, j not both zero")
     return (j * m) // gcd(abs(j), abs(m))
-
-
-def dual_pair_summary(fb: FluxedBundle) -> dict:
-    """Both duals of a fluxed bundle, plus correspondence data when defined.
-
-    Convenience aggregation used by the command-line front end.
-    """
-    dual = euler_preserving_dual(fb)
-    out = {
-        "input": fb,
-        "euler_preserving": dual,
-        "canonical_input": FluxedBundle(canonical_form(fb.bundle), fb.flux),
-        "principal": None,
-    }
-    if fb.bundle.is_principal:
-        out["principal"] = principal_dual(fb)
-    m, j = fb.bundle.m, fb.flux
-    if m != 0 or j != 0:
-        out["correspondence_h7"] = correspondence_h7(m, j)
-        out["lifted_flux"] = lifted_flux(m, j)
-    return out

@@ -1,0 +1,105 @@
+"""Byte-for-byte replay of recorded CLI invocations.
+
+`goldens/cli.json` holds (argv, rc, stdout, stderr) for every argv below,
+once in table mode and once with --json.  Re-record it with
+
+    PYTHONPATH=src python tests/test_cli_goldens.py
+
+only when an output change is intended.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from exotic_invariants.cli import run
+
+GOLDENS = Path(__file__).parent / "goldens" / "cli.json"
+
+ARGV = [
+    ["milnor", "2", "-1"],
+    ["milnor", "1", "0"],
+    ["milnor", "3", "3"],
+    ["milnor", "0", "0"],
+    ["milnor", "-3", "4"],
+    ["milnor", "0", "1", "--lambda"],
+    ["milnor", "2", "2", "--lambda"],
+    ["tdual", "--m", "3", "--k", "1", "--flux", "5"],
+    ["tdual", "--m", "3", "--k", "3", "--flux", "5", "--principal"],
+    ["tdual", "--m", "0", "--k", "-2", "--flux", "4", "--principal"],
+    ["tdual", "--m", "2", "--k", "1", "--flux", "4", "--principal"],
+    ["tdual", "--m", "0", "--k", "0", "--flux", "0"],
+    ["tdual", "--m", "0", "--k", "3", "--flux", "0"],
+    ["brieskorn", "5", "3", "2", "2", "2"],
+    ["brieskorn", "5", "3", "2", "2", "2", "--spectrum"],
+    ["brieskorn", "3", "3", "3", "--spectrum"],
+    ["brieskorn", "7", "3", "2"],
+    ["brieskorn", "2"],
+    ["brieskorn", "1", "2"],
+    ["lattice", "3", "3"],
+    ["lattice", "4"],
+    ["lattice", "5", "3", "2", "2", "2"],
+    ["lattice", "1", "3"],
+    ["spectrum", "5", "3", "2", "2", "2"],
+    ["spectrum", "3", "3", "3"],
+    ["spectrum", "2"],
+    ["theta7", "2", "-1"],
+    ["theta7", "3", "5", "--order", "7", "--coeff", "3"],
+    ["theta7", "0", "1", "--steps", "0", "1", "5"],
+    ["theta7", "2", "3", "--order", "10", "--coeff", "4", "--steps", "1", "3", "7"],
+    ["theta7", "0", "1", "--steps", "0", "2", "5"],
+    ["theta7", "1", "1", "--order", "0"],
+    ["sigma8", "2", "-1", "1"],
+    ["sigma8", "3", "4", "5", "--order", "12", "--coeff", "5"],
+    ["fano", "3", "4"],
+    ["fano", "0"],
+    ["fano", "2", "-2", "--order", "5"],
+    ["isotropy", "1", "3"],
+    ["isotropy", "28", "1"],
+    ["isotropy", "0", "0"],
+    ["isotropy", "1", "0"],
+    ["hodge", "--branch", "unit"],
+    ["hodge", "--branch", "nonunit"],
+    ["kunneth", "--m", "3", "--k", "3"],
+    ["kunneth", "--m", "2", "--k", "1"],
+    ["kunneth", "--m", "1", "--k", "-4"],
+    ["kunneth", "--m", "0", "--k", "0"],
+    ["family-report", "--start", "1", "--end", "3"],
+    ["family-report", "--start", "27", "--end", "28"],
+    ["family-report"],
+    ["family-report", "--start", "5", "--end", "4"],
+    ["family-report", "--start", "1", "--end", "30"],
+]
+
+
+def invoke(argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run(argv)
+    return {"argv": argv, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def record() -> None:
+    entries = [invoke(argv + mode) for argv in ARGV for mode in ([], ["--json"])]
+    GOLDENS.parent.mkdir(exist_ok=True)
+    GOLDENS.write_text(json.dumps(entries, indent=1) + "\n")
+
+
+GOLDEN_ENTRIES = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else []
+
+
+def test_goldens_cover_every_argv_in_both_modes():
+    recorded = [entry["argv"] for entry in GOLDEN_ENTRIES]
+    assert recorded == [argv + mode for argv in ARGV for mode in ([], ["--json"])]
+
+
+@pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=lambda e: " ".join(e["argv"]))
+def test_cli_output_matches_golden(entry):
+    assert invoke(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    record()

@@ -11,7 +11,6 @@ from oracles import divisor_enumeration_oracle
 from exotic_invariants.tduality import (
     FluxedBundle,
     correspondence_h7,
-    dual_pair_summary,
     euler_preserving_dual,
     lifted_flux,
     principal_dual,
@@ -103,9 +102,9 @@ def test_lifted_flux_symmetric_and_divisible(m, j):
 
 
 def test_dual_pair_summary_shape():
-    out = dual_pair_summary(FluxedBundle(MilnorBundle(3, 0), 5))
-    assert out["principal"] == FluxedBundle(MilnorBundle(0, -5), 3)
-    assert out["euler_preserving"] == FluxedBundle(MilnorBundle(5, -2), 3)
-    assert out["lifted_flux"] == 15
-    out = dual_pair_summary(FluxedBundle(MilnorBundle(2, -1), 4))
-    assert out["principal"] is None
+    fb = FluxedBundle(MilnorBundle(3, 0), 5)
+    assert principal_dual(fb) == FluxedBundle(MilnorBundle(0, -5), 3)
+    assert euler_preserving_dual(fb) == FluxedBundle(MilnorBundle(5, -2), 3)
+    assert lifted_flux(3, 5) == 15
+    with pytest.raises(NotPrincipal):
+        principal_dual(FluxedBundle(MilnorBundle(2, -1), 4))
