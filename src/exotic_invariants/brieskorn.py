@@ -118,50 +118,67 @@ def a_lattice(n: int) -> IntMatrix:
     )
 
 
-def _chain_pairing(a: int, b: int) -> int:
-    if a == b:
-        return 2
-    if abs(a - b) == 1:
-        return -1
-    return 0
-
-
 def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     """Distinguished-basis lattice of the full singularity.
 
-    Index tuples run over 1 <= i_m <= a_m - 1 in lexicographic order.  For
-    i < j the pairing is the product over factors of the single-variable
-    pairings when i_m <= j_m holds in every slot, zero otherwise; the
-    diagonal is 2 and the matrix is completed by symmetry.
+    Index tuples run over 1 <= i_m <= a_m - 1 in lexicographic order.  A
+    single-variable pairing is nonzero only between equal or adjacent
+    indices, so under the rule above i pairs nontrivially with j != i
+    only when j = i + e for a nonzero step vector e in {0, 1}^n, and then
+    the pairing is (-1)^|e| * 2^(n - |e|).  Each index walks the steps
+    that stay inside the index box, a mixed-radix stride giving the
+    column offset of each, and every entry is set with its mirror; the
+    diagonal is 2 and all other entries are 0.
+
+    >>> milnor_lattice(BrieskornPham.of(3, 2)).gram.to_lists()
+    [[2, -2], [-2, 2]]
     """
-    index_set = tuple(product(*(range(1, a) for a in bp.exponents)))
+    exps = bp.exponents
+    n = len(exps)
+    index_set = tuple(product(*(range(1, a) for a in exps)))
     size = len(index_set)
-    rows = [[0] * size for _ in range(size)]
-    for r in range(size):
-        rows[r][r] = 2
-        for s in range(r + 1, size):
-            i, j = index_set[r], index_set[s]
-            if all(im <= jm for im, jm in zip(i, j)):
-                val = 1
-                for im, jm in zip(i, j):
-                    val *= _chain_pairing(im, jm)
-            else:
-                val = 0
-            rows[r][s] = rows[s][r] = val
-    return MilnorLattice(index_set, IntMatrix.from_rows(rows))
+    strides = [1] * n
+    for m in range(n - 2, -1, -1):
+        strides[m] = strides[m + 1] * (exps[m + 1] - 1)
+    # Step vectors e as bit masks, bit m set when e_m = 1; index i + e lies
+    # offset[e] places after i in lexicographic order.
+    value = [(-1) ** e.bit_count() * 2 ** (n - e.bit_count()) for e in range(1 << n)]
+    offset = [0] * (1 << n)
+    for e in range(1, 1 << n):
+        m = e.bit_length() - 1
+        offset[e] = offset[e ^ (1 << m)] + strides[m]
+    flat = [0] * (size * size)
+    flat[:: size + 1] = [2] * size
+    for r, idx in enumerate(index_set):
+        # The steps that stay in the box are the nonzero sub-masks of `free`.
+        free = sum(1 << m for m in range(n) if idx[m] < exps[m] - 1)
+        e = free
+        while e:
+            s = r + offset[e]
+            flat[r * size + s] = flat[s * size + r] = value[e]
+            e = (e - 1) & free
+    return MilnorLattice(index_set, IntMatrix(size, size, tuple(flat)))
 
 
 def spectrum(bp: BrieskornPham) -> Spectrum:
     """Multiset of weights sum((k_i + 1) / a_i) over the monomial basis.
 
     The least element is sum(1 / a_i), attained at the constant monomial.
+    Every weight is an integer numerator over ell = lcm(a_i); the
+    numerators are sorted as integers and one Fraction is made for each
+    distinct numerator.
+
+    >>> [str(v) for v in spectrum(BrieskornPham.of(3, 3)).values]
+    ['2/3', '1', '1', '4/3']
     """
-    _, basis = milnor_number_and_basis(bp)
-    values = sorted(
-        sum((Fraction(k + 1, a) for k, a in zip(tup, bp.exponents)), Fraction(0))
-        for tup in basis
-    )
-    return Spectrum(tuple(values))
+    ell = lcm(*bp.exponents)
+    nums = [0]
+    for a in bp.exponents:
+        w = ell // a
+        nums = [x + w * k for k in range(1, a) for x in nums]
+    nums.sort()
+    frac = {x: Fraction(x, ell) for x in set(nums)}
+    return Spectrum(tuple(map(frac.__getitem__, nums)))
 
 
 def weights_and_degree(bp: BrieskornPham):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, GradedGroups, Z, cokernel_group, kernel_group
-from .errors import NotHomotopySphere
+from .errors import InvalidArgument, NotHomotopySphere
 from .snf import IntMatrix
 
 
@@ -153,4 +153,4 @@ def star_quotient(r: int, k: int, mode: str) -> MilnorBundle:
         return MilnorBundle(r, k - r)
     if mode == "principal":
         return MilnorBundle(r - k, 0)
-    raise ValueError(f"mode must be 'principal' or 'nonprincipal', got {mode!r}")
+    raise InvalidArgument(f"mode must be 'principal' or 'nonprincipal', got {mode!r}")

@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sigma8, table=sigma8_table)
 
     p = sub.add_parser(
-        "fano", parents=[jsonable, grouped], help="moduli of circle representations"
+        "fano", parents=[jsonable], help="moduli of circle representations"
     )
     p.add_argument("exponents", type=int, nargs="+")
     p.set_defaults(func=cmd_fano, table=fano_table)

@@ -2,14 +2,15 @@
 
 DomainError subclasses signal well-formed requests whose answer does not
 exist (wrong bundle type, out-of-range family index, ...).  The CLI maps
-them to exit status 1.  InvalidArgument signals a constructor argument
-outside its type's range (an exponent below 2, a group order below 1);
-the CLI maps it, like the usage errors of its parser, to exit status 2.
+them to exit status 1.  InvalidArgument signals an argument outside the
+range its type or function allows (an exponent below 2, a group order
+below 1, an unknown Hodge branch); the CLI maps it, like the usage errors
+of its parser, to exit status 2.
 """
 
 
 class InvalidArgument(ValueError):
-    """Raised for constructor arguments outside the range the type allows."""
+    """Raised for arguments outside the range their type or function allows."""
 
 
 class DomainError(Exception):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .abelian import GradedGroups, kunneth, sphere_cohomology
 from .bundles import MilnorBundle, bundle_cohomology
-from .errors import InvalidDimension
+from .errors import InvalidArgument, InvalidDimension
 
 DIM = 4  # complex dimension of the stored grids
 
@@ -28,7 +28,7 @@ def betti_vector(branch: str) -> tuple:
         return (1, 1, 0, 0, 0, 0, 0, 1, 1)
     if branch == NONUNIT:
         return (1, 1, 0, 0, 1, 0, 0, 1, 1)
-    raise ValueError(f"branch must be {UNIT!r} or {NONUNIT!r}, got {branch!r}")
+    raise InvalidArgument(f"branch must be {UNIT!r} or {NONUNIT!r}, got {branch!r}")
 
 
 def branch_of_euler(k: int) -> str:

@@ -4,6 +4,8 @@ These deliberately avoid the library's own code paths wherever they are
 used to verify one.
 """
 
+from fractions import Fraction
+from itertools import product
 from math import gcd
 
 
@@ -94,3 +96,47 @@ def fraction_free_rank(rows):
         prev = top[c]
         rank += 1
     return rank
+
+
+def _chain_pairing(a, b):
+    if a == b:
+        return 2
+    if abs(a - b) == 1:
+        return -1
+    return 0
+
+
+def paper_rule_gram(exponents):
+    """Distinguished-basis gram by the paper rule, pair by pair.
+
+    Index tuples run over 1 <= i_m <= a_m - 1 in lexicographic order.  For
+    each pair r < s the entry is the product of the single-variable chain
+    pairings when the tuples are comparable componentwise, zero otherwise;
+    the diagonal is 2.  O(mu^2) pairs, returned as a list of rows.
+    """
+    index_set = list(product(*(range(1, a) for a in exponents)))
+    size = len(index_set)
+    rows = [[0] * size for _ in range(size)]
+    for r in range(size):
+        rows[r][r] = 2
+        for s in range(r + 1, size):
+            i, j = index_set[r], index_set[s]
+            if all(im <= jm for im, jm in zip(i, j)):
+                val = 1
+                for im, jm in zip(i, j):
+                    val *= _chain_pairing(im, jm)
+            else:
+                val = 0
+            rows[r][s] = rows[s][r] = val
+    return rows
+
+
+def fraction_sum_spectrum(exponents):
+    """Sorted weights sum((k_i + 1) / a_i) over 0 <= k_i <= a_i - 2, each
+    summed as Fractions."""
+    return tuple(
+        sorted(
+            sum((Fraction(k + 1, a) for k, a in zip(tup, exponents)), Fraction(0))
+            for tup in product(*(range(a - 1) for a in exponents))
+        )
+    )

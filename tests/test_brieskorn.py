@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,7 @@ from exotic_invariants.brieskorn import (
 )
 from exotic_invariants.errors import IndexOutOfRange, InvalidSize, OutOfFamily
 from exotic_invariants.snf import IntMatrix
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, fraction_sum_spectrum, paper_rule_gram
 
 exponent_vectors = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
 
@@ -82,6 +82,23 @@ def test_lattice_shape_properties(exps):
     assert lat.index_set == tuple(sorted(lat.index_set))
 
 
+@given(exponent_vectors)
+@settings(max_examples=25)
+def test_lattice_gram_matches_pairwise_oracle(exps):
+    assert milnor_lattice(BrieskornPham(exps)).gram.to_lists() == paper_rule_gram(exps)
+
+
+def test_family_lattice_matches_pairwise_oracle():
+    for k in range(1, 5):
+        orders = set(permutations(milnor_family(k).exponents))
+        assert len(orders) == 20
+        for exps in orders:
+            gram = milnor_lattice(BrieskornPham(exps)).gram.to_lists()
+            assert gram == paper_rule_gram(exps), exps
+    exps = milnor_family(28).exponents
+    assert milnor_lattice(BrieskornPham(exps)).gram.to_lists() == paper_rule_gram(exps)
+
+
 def test_lattice_index_set_lex_sorted():
     lat = milnor_lattice(BrieskornPham.of(3, 3))
     assert lat.index_set == ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -105,6 +122,12 @@ def test_spectrum_properties(exps):
     assert sp.minimum == sum(Fraction(1, a) for a in exps)
     top = Fraction(len(exps))
     assert tuple(sorted(top - v for v in sp.values)) == sp.values
+
+
+@given(exponent_vectors)
+@settings(max_examples=60)
+def test_spectrum_matches_fraction_sum_oracle(exps):
+    assert spectrum(BrieskornPham(exps)).values == fraction_sum_spectrum(exps)
 
 
 def test_weights_examples():

@@ -13,7 +13,7 @@ from exotic_invariants.bundles import (
     lambda_invariant,
     star_quotient,
 )
-from exotic_invariants.errors import NotHomotopySphere
+from exotic_invariants.errors import InvalidArgument, NotHomotopySphere
 
 bundles_strategy = st.builds(
     MilnorBundle, st.integers(-30, 30), st.integers(-30, 30)
@@ -105,7 +105,7 @@ def test_star_quotient_examples():
     assert star_quotient(2, 1, "nonprincipal") == MilnorBundle(2, -1)
     assert star_quotient(4, 4, "nonprincipal") == MilnorBundle(4, 0)
     assert star_quotient(1, 1, "principal") == MilnorBundle(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidArgument):
         star_quotient(1, 1, "diagonal")
 
 

@@ -129,6 +129,13 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_fano_rejects_group_options(capsys):
+    assert run(["fano", "3", "--order", "0", "--coeff", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --order 0 --coeff 9" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,7 +1,7 @@
 import pytest
 
 from exotic_invariants.abelian import AbelianGroup, GradedGroups, Z
-from exotic_invariants.errors import InvalidDimension
+from exotic_invariants.errors import InvalidArgument, InvalidDimension
 from exotic_invariants.hodge import (
     NONUNIT,
     UNIT,
@@ -46,6 +46,8 @@ def test_branch_selection():
     assert branch_of_euler(0) == branch_of_euler(5) == NONUNIT
     assert betti_vector(UNIT) == (1, 1, 0, 0, 0, 0, 0, 1, 1)
     assert betti_vector(NONUNIT) == (1, 1, 0, 0, 1, 0, 0, 1, 1)
+    with pytest.raises(InvalidArgument):
+        betti_vector("weird")
 
 
 def test_checker_on_examples():
