@@ -2,8 +2,8 @@
 
 A group is stored in its canonical shape: a free rank plus a torsion chain
 d1 | d2 | ... with every d >= 2.  Arbitrary lists of cyclic orders are
-normalized through the Smith normal form of the corresponding diagonal
-matrix, so structural equality of the stored data is group isomorphism.
+normalized by the gcd/lcm exchanges of `divisibility_chain`, so structural
+equality of the stored data is group isomorphism.
 
 >>> AbelianGroup.from_orders(0, [2, 3]) == AbelianGroup.from_orders(0, [6])
 True
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .errors import InvalidArgument
 from .snf import IntMatrix, invariant_factors, rank
 
 
@@ -26,9 +27,9 @@ def divisibility_chain(orders) -> tuple:
     reduction of the diagonal matrix, without the unimodular bookkeeping.
     The SNF route gives the same answer and the tests cross-check the two.
     """
-    vals = [int(d) for d in orders]
-    if any(d < 2 for d in vals):
-        raise ValueError("chain normalization expects orders >= 2")
+    vals = list(orders)
+    if any(not isinstance(d, int) or d < 2 for d in vals):
+        raise InvalidArgument("chain normalization expects integer orders >= 2")
     changed = True
     while changed:
         changed = False
@@ -50,13 +51,13 @@ class AbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise InvalidArgument("free rank must be a nonnegative integer")
         chain = self.torsion
-        if any(d < 2 for d in chain):
-            raise ValueError("torsion orders must be >= 2")
+        if any(not isinstance(d, int) or d < 2 for d in chain):
+            raise InvalidArgument("torsion orders must be integers >= 2")
         if any(chain[i + 1] % chain[i] != 0 for i in range(len(chain) - 1)):
-            raise ValueError(f"torsion {chain} is not a divisibility chain")
+            raise InvalidArgument(f"torsion {chain} is not a divisibility chain")
 
     @classmethod
     def from_orders(cls, free_rank: int, orders=()) -> "AbelianGroup":
@@ -65,7 +66,7 @@ class AbelianGroup:
         >>> AbelianGroup.from_orders(0, [4, 6]).torsion
         (2, 12)
         """
-        orders = [int(d) for d in orders]
+        orders = list(orders)
         free_rank += sum(1 for d in orders if d == 0)
         finite = [abs(d) for d in orders if d != 0 and abs(d) != 1]
         return cls(free_rank, divisibility_chain(finite))
@@ -157,9 +158,8 @@ class GradedGroups:
     def __init__(self, groups=None):
         data = {}
         for degree, group in dict(groups or {}).items():
-            degree = int(degree)
-            if degree < 0:
-                raise ValueError("degrees must be nonnegative")
+            if not isinstance(degree, int) or degree < 0:
+                raise InvalidArgument("degrees must be nonnegative integers")
             if not group.is_trivial:
                 data[degree] = group
         self._groups = dict(sorted(data.items()))
@@ -186,14 +186,10 @@ class GradedGroups:
         return f"GradedGroups({{{body}}})"
 
 
-SPHERE_CIRCLE = GradedGroups({0: Z, 1: Z})  # H*(S^1)
-POINT = GradedGroups({0: Z})
-
-
 def sphere_cohomology(n: int) -> GradedGroups:
     """H*(S^n); the circle and the point come out right as n = 1, 0 edge cases."""
     if n < 0:
-        raise ValueError("sphere dimension must be nonnegative")
+        raise InvalidArgument("sphere dimension must be nonnegative")
     if n == 0:
         return GradedGroups({0: AbelianGroup.free(2)})
     return GradedGroups({0: Z, n: Z})

@@ -33,12 +33,14 @@ class BrieskornPham:
     def __post_init__(self):
         if len(self.exponents) < 1:
             raise InvalidArgument("need at least one exponent")
+        if not all(isinstance(a, int) for a in self.exponents):
+            raise InvalidArgument("exponents must be integers")
         if any(a < 2 for a in self.exponents):
             raise InvalidArgument("exponents must all be >= 2")
 
     @classmethod
     def of(cls, *exponents: int) -> "BrieskornPham":
-        return cls(tuple(int(a) for a in exponents))
+        return cls(exponents)
 
     def __str__(self):
         return "(" + ",".join(str(a) for a in self.exponents) + ")"

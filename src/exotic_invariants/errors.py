@@ -3,9 +3,9 @@
 DomainError subclasses signal well-formed requests whose answer does not
 exist (wrong bundle type, out-of-range family index, ...).  The CLI maps
 them to exit status 1.  InvalidArgument signals an argument outside the
-range its type or function allows (an exponent below 2, a group order
-below 1, an unknown Hodge branch); the CLI maps it, like the usage errors
-of its parser, to exit status 2.
+range its type or function allows (a non-integer, an exponent below 2, a
+group order below 1, an unknown Hodge branch, a ragged matrix); the CLI
+maps it, like the usage errors of its parser, to exit status 2.
 """
 
 

@@ -43,13 +43,13 @@ class HodgeDiamond:
 
     def __post_init__(self):
         if len(self.h) != DIM + 1 or any(len(r) != DIM + 1 for r in self.h):
-            raise ValueError("expected a 5x5 grid")
-        if any(x < 0 for r in self.h for x in r):
-            raise ValueError("Hodge numbers are nonnegative")
+            raise InvalidArgument("expected a 5x5 grid")
+        if any(not isinstance(x, int) or x < 0 for r in self.h for x in r):
+            raise InvalidArgument("Hodge numbers are nonnegative integers")
         for p in range(DIM + 1):
             for q in range(DIM + 1):
                 if self.h[p][q] != self.h[DIM - p][DIM - q]:
-                    raise ValueError(
+                    raise InvalidArgument(
                         f"Serre duality fails at ({p},{q}): "
                         f"{self.h[p][q]} != {self.h[DIM - p][DIM - q]}"
                     )
@@ -59,7 +59,7 @@ class HodgeDiamond:
         """Build from a sparse {(p, q): value} mapping; absent entries are 0."""
         grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
         for (p, q), value in entries.items():
-            grid[p][q] = int(value)
+            grid[p][q] = value
         return cls(tuple(tuple(r) for r in grid))
 
     def __getitem__(self, pq) -> int:

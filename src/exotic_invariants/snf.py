@@ -6,8 +6,10 @@ no fixed-width array library is used.
 
 `invariant_factors` returns the Smith diagonal alone, all that ranks,
 kernels and cokernels need.  `smith_normal_form` runs the same elimination
-and also carries the unimodular transforms U and V, whose entries are
-where the integers grow; call it only when U or V is needed.
+on M bordered by identity blocks, I_m to the right and I_n below, so the
+row operations build U in the right border and the column operations build
+V in the bottom one.  The borders are where the integers grow; call it
+only when U or V is needed.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -23,6 +25,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 
+from .errors import InvalidArgument
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -34,22 +38,21 @@ class IntMatrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+            raise InvalidArgument("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
+            raise InvalidArgument(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
         if not all(isinstance(e, int) for e in self.entries):
-            raise ValueError("entries must be integers")
+            raise InvalidArgument("entries must be integers")
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        flat = tuple(int(x) for r in rows for x in r)
-        return cls(len(rows), ncols, flat)
+            raise InvalidArgument("ragged rows")
+        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -61,7 +64,7 @@ class IntMatrix:
 
     @classmethod
     def from_diagonal(cls, diag) -> "IntMatrix":
-        diag = [int(d) for d in diag]
+        diag = list(diag)
         n = len(diag)
         return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
 
@@ -83,7 +86,7 @@ class IntMatrix:
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.cols} vs {other.rows}")
+            raise InvalidArgument(f"shape mismatch: {self.cols} vs {other.rows}")
         e, n, c = self.entries, self.cols, other.cols
         columns = [other.entries[j::c] for j in range(c)]
         flat = tuple(
@@ -101,38 +104,33 @@ class IntMatrix:
         return sum(map(bool, self.entries)) == sum(map(bool, self.diagonal()))
 
 
-def _eliminate(a, u=None, vt=None) -> None:
-    """Reduce the rows `a` in place to the Smith diagonal, repeating the row
-    operations on the rows `u` of U and the column operations on the rows
-    `vt` of V transposed, when those are given.
+def _eliminate(a, nrows, ncols) -> None:
+    """Reduce the top-left nrows x ncols block of the rows `a` in place to
+    the Smith diagonal.
 
-    Each pivot is the first smallest-magnitude nonzero entry of the block
-    left, in row-major order, which keeps growth in check and the output
-    deterministic.  Rows and columns before step t are zero off the
-    diagonal, so row operations start at column t and a column operation
-    touches only the rows nonzero in column t.
+    Row operations act on whole rows and column operations on every row of
+    `a`, so whatever borders the block records them: `smith_normal_form`
+    borders M with I_m on the right, which becomes U, and I_n below, which
+    becomes V.  Each pivot is the first smallest-magnitude nonzero entry of
+    the block left, in row-major order, which keeps growth in check and the
+    output deterministic.  Rows and columns of the block before step t are
+    zero off the diagonal, so row operations start at column t and a column
+    operation touches only the rows nonzero in column t.
     """
-    nrows, ncols = len(a), len(a[0]) if a else 0
     t = 0
     while t < min(nrows, ncols):
-        pos = _min_pivot(a, t)
+        pos = _min_pivot(a, t, nrows, ncols)
         if pos is None:
             break
         i, j = pos
         if i != t:
             a[t], a[i] = a[i], a[t]
-            if u is not None:
-                u[t], u[i] = u[i], u[t]
         if j != t:
             for r in a[t:]:
                 r[t], r[j] = r[j], r[t]
-            if vt is not None:
-                vt[t], vt[j] = vt[j], vt[t]
         top = a[t]
         if top[t] < 0:
             top[t:] = [-x for x in top[t:]]
-            if u is not None:
-                u[t] = [-x for x in u[t]]
         p, head = top[t], top[t:]
         dirty = False
         for i in range(t + 1, nrows):
@@ -140,8 +138,6 @@ def _eliminate(a, u=None, vt=None) -> None:
             if r[t]:
                 q = r[t] // p
                 r[t:] = [x - q * y for x, y in zip(r[t:], head)]
-                if u is not None:
-                    u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 dirty = dirty or r[t] != 0
         live = [(r, r[t]) for r in a[t:] if r[t]]
         for j in range(t + 1, ncols):
@@ -149,29 +145,27 @@ def _eliminate(a, u=None, vt=None) -> None:
                 q = top[j] // p
                 for r, c in live:
                     r[j] -= q * c
-                if vt is not None:
-                    vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
                 dirty = dirty or top[j] != 0
         if dirty:
             continue  # remainders survived; pick a smaller pivot
 
-        # Pivot must divide the rest of the block for d_t | d_{t+1} | ...
-        rest = (i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1 :]))
-        offender = next(rest, None)
-        if offender is not None:
-            top[t:] = [x + y for x, y in zip(top[t:], a[offender][t:])]
-            if u is not None:
-                u[t] = [x + y for x, y in zip(u[t], u[offender])]
-            continue
-        t += 1
+        # Pivot must divide the rest of the block for d_t | d_{t+1} | ...;
+        # adding the first row it does not divide forces a smaller pivot.
+        for r in a[t + 1 : nrows]:
+            if any(x % p for x in r[t + 1 : ncols]):
+                top[t:] = [x + y for x, y in zip(top[t:], r[t:])]
+                break
+        else:
+            t += 1
 
 
-def _min_pivot(a, t):
+def _min_pivot(a, t, nrows, ncols):
     """Position of the first smallest-magnitude nonzero entry of the block
-    from (t, t) in row-major order, or None if the block is zero."""
+    rows t..nrows-1, columns t..ncols-1 in row-major order, or None if that
+    block is zero."""
     best, pos = 0, None
-    for i in range(t, len(a)):
-        for j, x in enumerate(a[i][t:], t):
+    for i in range(t, nrows):
+        for j, x in enumerate(a[i][t:ncols], t):
             if x and (pos is None or abs(x) < best):
                 best, pos = abs(x), (i, j)
     return pos
@@ -179,13 +173,13 @@ def _min_pivot(a, t):
 
 def invariant_factors(M: IntMatrix) -> list:
     """The Smith diagonal d1 | d2 | ... of M, min(rows, cols) entries long,
-    from the elimination of `smith_normal_form` without U and V.
+    from the elimination of `smith_normal_form` run on M without borders.
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
     [2, 6, 12]
     """
     a = M.to_lists()
-    _eliminate(a)
+    _eliminate(a, M.rows, M.cols)
     return [a[i][i] for i in range(min(M.rows, M.cols))]
 
 
@@ -193,16 +187,19 @@ def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U @ M @ V == D.
 
     U and V are square and unimodular (determinant +-1), and D is diagonal
-    with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .
+    with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .  The
+    elimination runs on the bordered rows [[M, I_m], [I_n]]: D is read from
+    the top-left block, U from the top-right one and V from the rows below.
     """
-    a = M.to_lists()
-    u, vt = IntMatrix.identity(M.rows).to_lists(), IntMatrix.identity(M.cols).to_lists()
-    _eliminate(a, u, vt)
+    m, n = M.rows, M.cols
+    a = [r + e for r, e in zip(M.to_lists(), IntMatrix.identity(m).to_lists())]
+    a += IntMatrix.identity(n).to_lists()
+    _eliminate(a, m, n)
     flat = chain.from_iterable
     return (
-        IntMatrix(M.rows, M.rows, tuple(flat(u))),
-        IntMatrix(M.rows, M.cols, tuple(flat(a))),
-        IntMatrix(M.cols, M.cols, tuple(flat(zip(*vt)))),
+        IntMatrix(m, m, tuple(flat(r[n:] for r in a[:m]))),
+        IntMatrix(m, n, tuple(flat(r[:n] for r in a[:m]))),
+        IntMatrix(n, n, tuple(flat(a[m:]))),
     )
 
 
@@ -218,7 +215,7 @@ def determinant(M: IntMatrix) -> int:
     cross-checked against each other.
     """
     if M.rows != M.cols:
-        raise ValueError("determinant needs a square matrix")
+        raise InvalidArgument("determinant needs a square matrix")
     n = M.rows
     if n == 0:
         return 1
