@@ -4,7 +4,9 @@ Each subcommand's `cmd_*` computes one payload and `run` alone prints it:
 with --json as canonical JSON (keys sorted, two-space indent, no floats,
 rationals as lowest-terms "p/q" strings, so re-serializing the parsed
 output reproduces the bytes), otherwise through the subcommand's `*_table`
-renderer, which reads only the payload.
+renderer, which reads only the payload.  The --json output is byte-equal
+to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
+floats), and the argument parser is built once per process.
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
@@ -13,9 +15,10 @@ usage errors; all but usage errors print one "error:" line on stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import brieskorn as bk
 from . import groups as gr
@@ -62,7 +65,63 @@ def fluxed_json(fb: FluxedBundle) -> dict:
 
 
 def canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+    """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it.
+
+    Only dict with str keys, list, str, int, bool and None are canonical;
+    anything else, a float or a tuple among them, raises TypeError.
+    """
+    parts = []
+    _emit(payload, "\n", parts)
+    return "".join(parts)
+
+
+def _emit(value, newline: str, parts: list) -> None:
+    """Append the JSON text of value to parts; newline is a line break
+    followed by the indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        parts.append(encode_basestring_ascii(value))
+    elif kind is int:
+        parts.append(str(value))
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif value is None:
+        parts.append("null")
+    elif kind is list:
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            parts += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+            parts += ("[", inner, ("," + inner).join(items), newline, "]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                parts.append(separator)
+                _emit(item, inner, parts)
+                separator = "," + inner
+            parts += (newline, "]")
+    elif kind is dict:
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            parts += (separator, encode_basestring_ascii(key), ": ")
+            _emit(value[key], inner, parts)
+            separator = "," + inner
+        parts += (newline, "}")
+    else:
+        raise TypeError(f"{kind.__name__} is not canonical JSON")
 
 
 def _group(g: dict) -> AbelianGroup:
@@ -392,7 +451,12 @@ def family_report_table(p: dict) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    Every call returns the same parser, so callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="exotic-invariants",
         description="Exact invariants of sphere bundles, dual pairs, "

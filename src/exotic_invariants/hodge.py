@@ -59,6 +59,8 @@ class HodgeDiamond:
         """Build from a sparse {(p, q): value} mapping; absent entries are 0."""
         grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
         for (p, q), value in entries.items():
+            if not (0 <= p <= DIM and 0 <= q <= DIM):
+                raise InvalidArgument(f"Hodge index ({p},{q}) outside 0..{DIM}")
             grid[p][q] = value
         return cls(tuple(tuple(r) for r in grid))
 

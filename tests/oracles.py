@@ -4,6 +4,7 @@ These deliberately avoid the library's own code paths wherever they are
 used to verify one.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -140,3 +141,9 @@ def fraction_sum_spectrum(exponents):
             for tup in product(*(range(a - 1) for a in exponents))
         )
     )
+
+
+def canonical_json_oracle(payload):
+    """The standard library's rendering of canonical CLI JSON: sorted keys,
+    two-space indent, ASCII escapes.  Reference for cli.canonical_json."""
+    return json.dumps(payload, sort_keys=True, indent=2)

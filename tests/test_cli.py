@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from exotic_invariants import cli
 from exotic_invariants.cli import canonical_json, run
+from oracles import canonical_json_oracle
+from test_cli_goldens import invoke
 
 COMMANDS = [
     ["milnor", "2", "-1"],
@@ -158,3 +163,68 @@ def test_negative_positionals_parse(capsys):
     capsys.readouterr()
     _, out = run_json(capsys, ["milnor", "-3", "4"])
     assert json.loads(out)["euler"] == 1
+
+
+# Characters that JSON escapes or that ASCII output must spell as \uXXXX.
+AWKWARD = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u00e9", "\u2028", "\U0001d11e"]
+)
+TEXT = st.text(AWKWARD | st.characters(), max_size=6)
+INTS = st.integers(-(10**100), 10**100)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | TEXT
+    | st.lists(st.booleans()) | st.lists(INTS | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(st.dictionaries(TEXT, JSON_VALUES, max_size=4))
+@example({})
+@example({"empty": [], "nested": {"": {}, "x": [[], {}]}})
+@example({"bits": [True, False], "mixed": [1, True, 0, False], "none": None})
+@example({"big": [10**100, -(10**100)], "one": 10**100})
+@example({'"\\\x00\u00e9\U0001d11e': '\x1f"\\\u2028'})
+def test_canonical_json_matches_json_dumps(payload):
+    assert canonical_json(payload) == canonical_json_oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"x": 1.0}, {"x": [1, 2.5]}, {"x": (1, 2)}, {"x": {1}}, {1: "x"}, {"x": {"y": {None: 1}}}],
+    ids=["float", "float in list", "tuple", "set", "int key", "None key"],
+)
+def test_canonical_json_rejects_non_canonical_values(payload):
+    with pytest.raises(TypeError):
+        canonical_json(payload)
+
+
+def test_build_parser_returns_one_shared_parser():
+    assert cli.build_parser() is cli.build_parser()
+
+
+# Requests whose state would leak into the next one if parsing kept any:
+# an option set, then defaulted; --steps given, then absent; a usage error,
+# then a valid request; --json, then table mode.
+REUSE_SEQUENCE = [
+    ["theta7", "1", "1", "--order", "5"],
+    ["theta7", "1", "1"],
+    ["theta7", "0", "1", "--steps", "0", "1", "5", "--json"],
+    ["theta7", "0", "1", "--json"],
+    ["milnor", "2"],
+    ["milnor", "2", "-1"],
+    ["kunneth", "--m", "3", "--k", "3", "--json"],
+    ["kunneth", "--m", "3", "--k", "3"],
+]
+
+
+def test_shared_parser_matches_a_fresh_parser_per_request(monkeypatch):
+    shared = [invoke(argv) for argv in REUSE_SEQUENCE]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [invoke(argv) for argv in REUSE_SEQUENCE]
+    assert shared == fresh
+    out = [entry["stdout"] for entry in shared]
+    assert "in Z_5" in out[0] and "in Z_28" in out[1]
+    assert "steps" in json.loads(out[2]) and "steps" not in json.loads(out[3])
+    assert shared[4]["rc"] == 2 and out[4] == "" and shared[5]["rc"] == 0
+    assert out[6].startswith("{") and out[7].startswith("H*(")

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from exotic_invariants.abelian import AbelianGroup, GradedGroups, Z
@@ -39,6 +41,16 @@ def test_serre_duality_enforced_by_type():
         HodgeDiamond.from_entries({(0, 0): 1})
     with pytest.raises(ValueError):
         HodgeDiamond.from_entries({(0, 1): 2, (4, 3): 1})
+
+
+@pytest.mark.parametrize(
+    "entries, index",
+    [({(-1, -1): 1, (0, 0): 1}, "(-1,-1)"), ({(5, 0): 1}, "(5,0)")],
+    ids=["negative wraps", "past the grid"],
+)
+def test_from_entries_rejects_indices_off_the_grid(entries, index):
+    with pytest.raises(InvalidArgument, match=re.escape(index)):
+        HodgeDiamond.from_entries(entries)
 
 
 def test_branch_selection():
