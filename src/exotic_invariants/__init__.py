@@ -51,11 +51,8 @@ from .errors import (
     ConfigMismatch,
     DegenerateInput,
     DomainError,
-    IndexOutOfRange,
     InvalidArgument,
-    InvalidDimension,
     InvalidRep,
-    InvalidSize,
     NotHomotopySphere,
     NotPrincipal,
     OutOfFamily,

@@ -23,24 +23,27 @@ from .snf import IntMatrix, invariant_factors, rank
 def divisibility_chain(orders) -> tuple:
     """Normalize cyclic orders (all >= 2) to a chain d1 | d2 | ... .
 
-    Repeated gcd/lcm exchanges on non-dividing pairs: exactly the Smith
-    reduction of the diagonal matrix, without the unimodular bookkeeping.
-    The SNF route gives the same answer and the tests cross-check the two.
+    One gcd/lcm exchange per non-dividing pair i < j, in row order.  After
+    row i, vals[i] divides every later entry, and later rows only replace
+    entries by gcds and lcms of multiples of vals[i]; so one pass leaves a
+    chain, already non-decreasing, with the gcds equal to 1 dropped.  The
+    SNF of the diagonal matrix gives the same answer, as the tests check.
+
+    >>> divisibility_chain([12, 6, 2])
+    (2, 6, 12)
+    >>> divisibility_chain([4, 6, 9])
+    (6, 36)
     """
     vals = list(orders)
     if any(not isinstance(d, int) or d < 2 for d in vals):
         raise InvalidArgument("chain normalization expects integer orders >= 2")
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a != 0:
-                    g = gcd(a, b)
-                    vals[i], vals[j] = g, a * b // g
-                    changed = True
-    return tuple(sorted(d for d in vals if d >= 2))
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            a, b = vals[i], vals[j]
+            if b % a != 0:
+                g = gcd(a, b)
+                vals[i], vals[j] = g, a * b // g
+    return tuple(d for d in vals if d >= 2)
 
 
 @dataclass(frozen=True)

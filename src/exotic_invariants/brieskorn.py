@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .errors import IndexOutOfRange, InvalidArgument, InvalidSize, OutOfFamily
+from .errors import InvalidArgument, OutOfFamily
 from .snf import IntMatrix
 
 FAMILY_RANGE = range(1, 29)
@@ -111,7 +111,7 @@ def a_lattice(n: int) -> IntMatrix:
     """Gram matrix of the rank-n chain lattice: 2 on the diagonal, -1 on
     the first off-diagonals."""
     if n < 1:
-        raise InvalidSize(f"lattice rank must be >= 1, got {n}")
+        raise InvalidArgument(f"lattice rank must be >= 1, got {n}")
     return IntMatrix.from_rows(
         [
             [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
@@ -235,7 +235,7 @@ def category_hom_dims(a: int, i: int, j: int) -> dict:
     one-dimensional in degree 1, and every other pair has no morphisms.
     """
     if not (1 <= i <= a and 1 <= j <= a):
-        raise IndexOutOfRange(f"objects run 1..{a}, got ({i}, {j})")
+        raise InvalidArgument(f"objects run 1..{a}, got ({i}, {j})")
     if i == j:
         return {0: 1}
     if j == i + 1:
@@ -260,7 +260,7 @@ def chain_euler_matrix(n: int) -> IntMatrix:
     """Matrix of alternating-sum hom dimensions chi(i, j) for the rank-n
     chain category; its symmetrization recovers a_lattice(n)."""
     if n < 1:
-        raise InvalidSize(f"need n >= 1, got {n}")
+        raise InvalidArgument(f"need n >= 1, got {n}")
     rows = []
     for i in range(1, n + 1):
         row = []

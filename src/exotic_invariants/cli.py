@@ -43,9 +43,8 @@ from .tduality import (
 SCHEMA_VERSION = 1
 
 
-def rational_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+def rational_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def group_json(g: AbelianGroup) -> dict:

@@ -40,27 +40,23 @@ DEFAULT_CONFIG = GroupConfig()
 
 
 @dataclass(frozen=True)
-class Theta7Element:
+class _Residue:
+    """A residue mod N over a GroupConfig; equal only within one kind."""
+
+    residue: int
+    config: GroupConfig = DEFAULT_CONFIG
+
+    def __post_init__(self):
+        if not 0 <= self.residue < self.config.order:
+            raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
+
+
+class Theta7Element(_Residue):
     """A diffeomorphism class of homotopy 7-spheres, as a residue mod N."""
 
-    residue: int
-    config: GroupConfig = DEFAULT_CONFIG
 
-    def __post_init__(self):
-        if not 0 <= self.residue < self.config.order:
-            raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
-
-
-@dataclass(frozen=True)
-class Sigma8Element:
+class Sigma8Element(_Residue):
     """A diffeomorphism class of homotopy S^7 x S^1 products, mod N."""
-
-    residue: int
-    config: GroupConfig = DEFAULT_CONFIG
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.config.order:
-            raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
 
 @dataclass(frozen=True)
@@ -100,19 +96,31 @@ def compose(x, y):
 
 
 def de_sapio_steps(start: Theta7Element, step: Theta7Element, target: Theta7Element) -> int:
-    """Least l >= 0 with start + l*step = target, by scanning l in [0, N).
+    """Least l >= 0 with start + l*step = target, by solving the congruence.
 
-    N is at most 28 in practice, so the scan is the honest algorithm.
+    With g = gcd(step, N), the target is reachable exactly when g divides
+    target - start, and then l is (target - start)/g times the inverse of
+    step/g modulo N/g, reduced into [0, N/g).
+
+    >>> cfg = GroupConfig(order=28)
+    >>> de_sapio_steps(theta7(3, cfg), theta7(6, cfg), theta7(1, cfg))
+    9
+    >>> de_sapio_steps(theta7(0, cfg), theta7(2, cfg), theta7(5, cfg))
+    Traceback (most recent call last):
+    ...
+    exotic_invariants.errors.Unreachable: 5 not reachable from 0 by steps of 2 mod 28
     """
     if start.config != step.config or step.config != target.config:
         raise ConfigMismatch("mismatched group configurations")
     n = start.config.order
-    for l in range(n):
-        if (start.residue + l * step.residue) % n == target.residue:
-            return l
-    raise Unreachable(
-        f"{target.residue} not reachable from {start.residue} by steps of {step.residue} mod {n}"
-    )
+    diff = target.residue - start.residue
+    g = gcd(step.residue, n)
+    if diff % g:
+        raise Unreachable(
+            f"{target.residue} not reachable from {start.residue} by steps of {step.residue} mod {n}"
+        )
+    period = n // g
+    return (diff // g) * pow(step.residue // g, -1, period) % period
 
 
 def fano_moduli_compose(r1: RepClass, r2: RepClass) -> RepClass:

@@ -11,10 +11,11 @@ class k != +-1), all other degrees zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .abelian import GradedGroups, kunneth, sphere_cohomology
 from .bundles import MilnorBundle, bundle_cohomology
-from .errors import InvalidArgument, InvalidDimension
+from .errors import InvalidArgument
 
 DIM = 4  # complex dimension of the stored grids
 
@@ -104,7 +105,7 @@ def hopf_hodge_numbers(n: int) -> dict:
     case fits the HodgeDiamond grid via from_entries.
     """
     if n < 2:
-        raise InvalidDimension(f"need complex dimension >= 2, got {n}")
+        raise InvalidArgument(f"need complex dimension >= 2, got {n}")
     return {(0, 0): 1, (0, 1): 1, (n, n): 1, (n, n - 1): 1}
 
 
@@ -156,43 +157,29 @@ def ddbar_constraints_check(d: HodgeDiamond, k: int):
 def enumerate_admissible_diamonds(branch: str) -> list:
     """Every Serre-symmetric diamond passing the branch constraints.
 
-    Each entry is bounded by the Betti number of its antidiagonal, so the
-    search space is finite and tiny; entries on antidiagonals with zero
-    Betti number are pinned to 0 outright.
+    One free cell per Serre pair (p,q) ~ (4-p,4-q), taken as the smaller of
+    the two in row-major order, and each cell is bounded by the Betti number
+    of its antidiagonal; candidates run as a product over the cells.
+
+    >>> len(enumerate_admissible_diamonds(UNIT)), len(enumerate_admissible_diamonds(NONUNIT))
+    (2, 2)
     """
     betti = betti_vector(branch)
     k = 1 if branch == UNIT else 0  # any Euler class selecting the branch
-
-    # Serre duality pairs (p,q) with (4-p, 4-q); pick one representative per
-    # orbit and enumerate values for those only.
-    orbits = []
-    seen = set()
-    for p in range(DIM + 1):
-        for q in range(DIM + 1):
-            if (p, q) in seen:
-                continue
-            partner = (DIM - p, DIM - q)
-            seen.add((p, q))
-            seen.add(partner)
-            orbits.append(((p, q), partner))
-
-    def assignments(idx, grid):
-        if idx == len(orbits):
-            yield HodgeDiamond(tuple(tuple(r) for r in grid))
-            return
-        (p, q), (pp, qq) = orbits[idx]
-        bound = min(betti[p + q], betti[pp + qq])
-        for value in range(bound + 1):
-            grid[p][q] = value
-            grid[pp][qq] = value
-            yield from assignments(idx + 1, grid)
-        grid[p][q] = 0
-        grid[pp][qq] = 0
-
+    cells = [
+        (p, q)
+        for p in range(DIM + 1)
+        for q in range(DIM + 1)
+        if (p, q) <= (DIM - p, DIM - q)
+    ]
+    # Both Betti vectors are palindromic (Poincare duality), so betti[p+q]
+    # is also the bound of the partner cell's antidiagonal.
     out = []
-    blank = [[0] * (DIM + 1) for _ in range(DIM + 1)]
-    for candidate in assignments(0, blank):
-        ok, _ = ddbar_constraints_check(candidate, k)
-        if ok:
+    for values in product(*(range(betti[p + q] + 1) for p, q in cells)):
+        grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
+        for (p, q), value in zip(cells, values):
+            grid[p][q] = grid[DIM - p][DIM - q] = value
+        candidate = HodgeDiamond(tuple(tuple(r) for r in grid))
+        if ddbar_constraints_check(candidate, k)[0]:
             out.append(candidate)
     return out

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -21,7 +22,7 @@ from exotic_invariants.brieskorn import (
     spectrum,
     weights_and_degree,
 )
-from exotic_invariants.errors import IndexOutOfRange, InvalidSize, OutOfFamily
+from exotic_invariants.errors import InvalidArgument, OutOfFamily
 from exotic_invariants.snf import IntMatrix
 from oracles import cofactor_determinant, fraction_sum_spectrum, paper_rule_gram
 
@@ -48,7 +49,7 @@ def test_a_lattice_examples():
     assert a_lattice(2).to_lists() == [[2, -1], [-1, 2]]
     assert a_lattice(1).to_lists() == [[2]]
     assert cofactor_determinant(a_lattice(4)) == 5
-    with pytest.raises(InvalidSize):
+    with pytest.raises(InvalidArgument, match="lattice rank must be >= 1, got 0"):
         a_lattice(0)
 
 
@@ -177,9 +178,9 @@ def test_hom_dims_examples():
     assert category_hom_dims(3, 1, 1) == {0: 1}
     assert category_hom_dims(3, 1, 2) == {1: 1}
     assert category_hom_dims(3, 2, 1) == {}
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidArgument, match=re.escape("objects run 1..3, got (0, 1)")):
         category_hom_dims(3, 0, 1)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidArgument, match=re.escape("objects run 1..3, got (1, 4)")):
         category_hom_dims(3, 1, 4)
 
 
@@ -190,6 +191,11 @@ def test_hom_dims_product_convolves_degrees():
     assert hom_dims_product(a, a) == {2: 1}
     assert hom_dims_product(a, {}) == {}
     assert hom_dims_product() == {0: 1}
+
+
+def test_chain_euler_matrix_rejects_rank_zero():
+    with pytest.raises(InvalidArgument, match="need n >= 1, got 0"):
+        chain_euler_matrix(0)
 
 
 def test_symmetrized_euler_form_recovers_chain_lattice():

@@ -1,4 +1,5 @@
 import json
+from math import gcd
 
 import pytest
 from hypothesis import example, given
@@ -125,6 +126,20 @@ def test_domain_errors_exit_one(capsys):
         captured = capsys.readouterr()
         assert code == 1, argv
         assert captured.err.startswith("error:"), argv
+
+
+def test_step_count_at_large_order(capsys):
+    order = 10**12
+    base = ["theta7", "0", "1", "--order", str(order), "--steps"]
+    assert run(base + ["0", "2", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: 1 not reachable from 0 by steps of 2 mod {order}\n"
+    )
+    code, out = run_json(capsys, base + ["5", "3", "2"])
+    assert code == 0
+    count = json.loads(out)["steps"]["count"]
+    assert 0 <= count < order // gcd(3, order)
+    assert (5 + count * 3) % order == 2
 
 
 def test_usage_errors_exit_two(capsys):

@@ -101,22 +101,22 @@ def test_de_sapio_examples():
 
 
 def test_de_sapio_exhaustive_against_scan():
-    n = 28
-    for start in range(0, n, 3):
-        for step in range(n):
-            reachable = {}
-            for l in range(n):
-                r = (start + l * step) % n
-                reachable.setdefault(r, l)
-            for target in range(n):
-                if target in reachable:
-                    assert (
-                        de_sapio_steps(theta7(start), theta7(step), theta7(target))
-                        == reachable[target]
-                    )
-                else:
-                    with pytest.raises(Unreachable):
-                        de_sapio_steps(theta7(start), theta7(step), theta7(target))
+    def steps_or_none(start, step, target):
+        try:
+            return de_sapio_steps(start, step, target)
+        except Unreachable:
+            return None
+
+    for n in range(1, 41):
+        elems = [theta7(v, GroupConfig(order=n)) for v in range(n)]
+        for start in range(n):
+            for step in range(n):
+                reachable = {}
+                for l in range(n):
+                    reachable.setdefault((start + l * step) % n, l)
+                assert [
+                    steps_or_none(elems[start], elems[step], target) for target in elems
+                ] == [reachable.get(target) for target in range(n)], (n, start, step)
 
 
 def test_fano_moduli_group_laws():

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from exotic_invariants.abelian import AbelianGroup, GradedGroups, Z
-from exotic_invariants.errors import InvalidArgument, InvalidDimension
+from exotic_invariants.errors import InvalidArgument
 from exotic_invariants.hodge import (
     NONUNIT,
     UNIT,
@@ -24,7 +24,7 @@ DUAL = {(0, 0): 1, (1, 0): 1, (4, 4): 1, (3, 4): 1}
 def test_hopf_hodge_numbers():
     assert hopf_hodge_numbers(4) == MALL
     assert hopf_hodge_numbers(2) == {(0, 0): 1, (0, 1): 1, (2, 2): 1, (2, 1): 1}
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(InvalidArgument, match="need complex dimension >= 2, got 1"):
         hopf_hodge_numbers(1)
 
 
