@@ -32,7 +32,6 @@ from .brieskorn import (
     milnor_family,
     milnor_lattice,
     milnor_number,
-    milnor_number_and_basis,
     spectrum,
     weights_and_degree,
 )

@@ -89,17 +89,6 @@ class CanonicalType(str, Enum):
     GENERAL_TYPE = "GeneralType"
 
 
-def milnor_number_and_basis(bp: BrieskornPham):
-    """Milnor number and the monomial basis of the Milnor algebra.
-
-    The basis is every exponent tuple (k_0, ..., k_n) with
-    0 <= k_i <= a_i - 2, in lexicographic order; the Milnor number is the
-    product of (a_i - 1).
-    """
-    basis = list(product(*(range(a - 1) for a in bp.exponents)))
-    return len(basis), basis
-
-
 def milnor_number(bp: BrieskornPham) -> int:
     mu = 1
     for a in bp.exponents:
@@ -166,17 +155,16 @@ def spectrum(bp: BrieskornPham) -> Spectrum:
     """Multiset of weights sum((k_i + 1) / a_i) over the monomial basis.
 
     The least element is sum(1 / a_i), attained at the constant monomial.
-    Every weight is an integer numerator over ell = lcm(a_i); the
-    numerators are sorted as integers and one Fraction is made for each
-    distinct numerator.
+    With (ell, w) from weights_and_degree, every weight is the integer
+    numerator sum(w_i * (k_i + 1)) over ell; the numerators are sorted as
+    integers and one Fraction is made for each distinct numerator.
 
     >>> [str(v) for v in spectrum(BrieskornPham.of(3, 3)).values]
     ['2/3', '1', '1', '4/3']
     """
-    ell = lcm(*bp.exponents)
+    ell, weights = weights_and_degree(bp)
     nums = [0]
-    for a in bp.exponents:
-        w = ell // a
+    for a, w in zip(bp.exponents, weights):
         nums = [x + w * k for k in range(1, a) for x in nums]
     nums.sort()
     frac = {x: Fraction(x, ell) for x in set(nums)}
@@ -194,12 +182,13 @@ def weights_and_degree(bp: BrieskornPham):
 
 
 def canonical_type(bp: BrieskornPham):
-    """(type, Gorenstein parameter) from s = sum(1 / a_i).
+    """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell.
 
     s > 1 is Fano, s = 1 Calabi-Yau, s < 1 general type; the Gorenstein
     parameter is s - 1 as an exact rational.
     """
-    s = sum((Fraction(1, a) for a in bp.exponents), Fraction(0))
+    ell, weights = weights_and_degree(bp)
+    s = Fraction(sum(weights), ell)
     if s > 1:
         kind = CanonicalType.FANO
     elif s == 1:
@@ -217,14 +206,10 @@ def milnor_family(k: int) -> BrieskornPham:
 
 
 def in_sphere_link_family(bp: BrieskornPham) -> bool:
-    """True when the link of bp is one of the 28 homotopy-7-sphere links."""
-    e = bp.exponents
-    return (
-        len(e) == 5
-        and e[1:] == (3, 2, 2, 2)
-        and e[0] % 6 == 5
-        and (e[0] + 1) // 6 in FAMILY_RANGE
-    )
+    """True when the link of bp is one of the 28 homotopy-7-sphere links,
+    that is, when bp is milnor_family(k) for the k its first exponent gives."""
+    k = (bp.exponents[0] + 1) // 6
+    return k in FAMILY_RANGE and bp == milnor_family(k)
 
 
 def category_hom_dims(a: int, i: int, j: int) -> dict:

@@ -73,13 +73,13 @@ def lambda_invariant(b: MilnorBundle) -> int:
     to the standard 7-sphere; the Hopf bundle (1, 0) gives 0.  Inputs with
     Euler class -1 are first replaced by their mirror, which has Euler
     class +1.
+
+    >>> lambda_invariant(MilnorBundle(1, -2)), lambda_invariant(MilnorBundle(2, -1))
+    (1, 1)
     """
-    if b.euler == 1:
-        m = b.m
-    elif b.euler == -1:
-        m = -b.n
-    else:
+    if not b.is_homotopy_sphere:
         raise NotHomotopySphere(f"{b} has euler class {b.euler}, not +-1")
+    m = (b if b.euler == 1 else b.mirror()).m
     return ((2 * m - 1) ** 2 - 1) % 7
 
 

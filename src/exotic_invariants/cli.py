@@ -420,13 +420,14 @@ def cmd_family_report(args) -> dict:
     for k in range(args.start, args.end + 1):
         bp = bk.milnor_family(k)
         mu = bk.milnor_number(bp)
+        mu_formula = 2 * (6 * k - 2)
         rows.append(
             {
                 "k": k,
                 "exponents": list(bp.exponents),
                 "mu": mu,
-                "mu_formula": 2 * (6 * k - 2),
-                "mu_match": mu == 2 * (6 * k - 2),
+                "mu_formula": mu_formula,
+                "mu_match": mu == mu_formula,
                 **weighted_type_json(bp),
             }
         )
@@ -467,9 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     jsonable.add_argument("--json", action="store_true", help="emit canonical JSON")
 
     grouped = argparse.ArgumentParser(add_help=False)
-    grouped.add_argument("--order", type=int, default=28, help="cyclic group order N")
     grouped.add_argument(
-        "--coeff", type=int, default=1, help="bilinear pairing coefficient c"
+        "--order", type=int, default=gr.DEFAULT_CONFIG.order, help="cyclic group order N"
+    )
+    grouped.add_argument(
+        "--coeff",
+        type=int,
+        default=gr.DEFAULT_CONFIG.coeff,
+        help="bilinear pairing coefficient c",
     )
 
     p = sub.add_parser("milnor", parents=[jsonable], help="bundle invariants")
@@ -552,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "family-report", parents=[jsonable], help="per-k table of link invariants"
     )
-    p.add_argument("--start", type=int, default=1)
-    p.add_argument("--end", type=int, default=28)
+    p.add_argument("--start", type=int, default=bk.FAMILY_RANGE[0])
+    p.add_argument("--end", type=int, default=bk.FAMILY_RANGE[-1])
     p.set_defaults(func=cmd_family_report, table=family_report_table)
 
     return parser

@@ -28,6 +28,8 @@ class GroupConfig:
     coeff: int = 1
 
     def __post_init__(self):
+        if not (isinstance(self.order, int) and isinstance(self.coeff, int)):
+            raise InvalidArgument("group order and pairing coefficient must be integers")
         if self.order < 1:
             raise InvalidArgument("group order must be >= 1")
 

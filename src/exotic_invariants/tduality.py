@@ -41,14 +41,17 @@ def euler_preserving_dual(fb: FluxedBundle) -> FluxedBundle:
 def principal_dual(fb: FluxedBundle) -> FluxedBundle:
     """(M(m, 0), [j]) -> (M(0, -j), [m]); defined for principal bundles only.
 
-    The input is first brought to M(m, 0) shape through canonical_form's
-    mirror identification M(0, n) = M(-n, 0).  Over a 4-dimensional base
-    the dual flux is uniquely determined, with no correction term.
+    An input M(0, n) with n != 0 is first replaced by its mirror M(-n, 0).
+    Over a 4-dimensional base the dual flux is uniquely determined, with no
+    correction term.
+
+    >>> print(principal_dual(FluxedBundle(MilnorBundle(0, 4), 7)))
+    (M(0,-7), [-4])
     """
     b = fb.bundle
     if not b.is_principal:
         raise NotPrincipal(f"{b} has m*n != 0")
-    m = b.m if b.n == 0 else -b.n
+    m = (b if b.n == 0 else b.mirror()).m
     return FluxedBundle(MilnorBundle(0, -fb.flux), m)
 
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from exotic_invariants.brieskorn import CanonicalType
+
 
 def order_in_quotient(x, y, gen_free, gen_tors, i, cap):
     """Order of (x, y) in (Z + Z_i) / <(gen_free, gen_tors)>, scanned up to cap.
@@ -141,6 +143,42 @@ def fraction_sum_spectrum(exponents):
             for tup in product(*(range(a - 1) for a in exponents))
         )
     )
+
+
+def milnor_number_and_basis(bp):
+    """Milnor number and the monomial basis of the Milnor algebra.
+
+    The basis is every exponent tuple (k_0, ..., k_n) with
+    0 <= k_i <= a_i - 2, in lexicographic order; the Milnor number is its
+    length.
+    """
+    basis = list(product(*(range(a - 1) for a in bp.exponents)))
+    return len(basis), basis
+
+
+def sphere_link_family_shape(exponents):
+    """Membership in the family (6k - 1, 3, 2, 2, 2), k in 1..28, read off
+    the shape of the exponent vector."""
+    e = tuple(exponents)
+    return (
+        len(e) == 5
+        and e[1:] == (3, 2, 2, 2)
+        and e[0] % 6 == 5
+        and 1 <= (e[0] + 1) // 6 <= 28
+    )
+
+
+def fraction_sum_canonical_type(exponents):
+    """(type, Gorenstein parameter) with s = sum(1 / a_i) summed as
+    Fractions: Fano for s > 1, Calabi-Yau for s = 1, general type else."""
+    s = sum((Fraction(1, a) for a in exponents), Fraction(0))
+    if s > 1:
+        kind = CanonicalType.FANO
+    elif s == 1:
+        kind = CanonicalType.CALABI_YAU
+    else:
+        kind = CanonicalType.GENERAL_TYPE
+    return kind, s - 1
 
 
 def canonical_json_oracle(payload):

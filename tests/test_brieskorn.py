@@ -18,13 +18,19 @@ from exotic_invariants.brieskorn import (
     milnor_family,
     milnor_lattice,
     milnor_number,
-    milnor_number_and_basis,
     spectrum,
     weights_and_degree,
 )
 from exotic_invariants.errors import InvalidArgument, OutOfFamily
 from exotic_invariants.snf import IntMatrix
-from oracles import cofactor_determinant, fraction_sum_spectrum, paper_rule_gram
+from oracles import (
+    cofactor_determinant,
+    fraction_sum_canonical_type,
+    fraction_sum_spectrum,
+    milnor_number_and_basis,
+    paper_rule_gram,
+    sphere_link_family_shape,
+)
 
 exponent_vectors = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
 
@@ -39,10 +45,13 @@ def test_type_validation():
 def test_milnor_number_examples():
     mu, basis = milnor_number_and_basis(BrieskornPham.of(5, 3, 2, 2, 2))
     assert mu == 8 and len(basis) == 8
+    assert milnor_number(BrieskornPham.of(5, 3, 2, 2, 2)) == mu
     mu, basis = milnor_number_and_basis(BrieskornPham.of(2))
     assert mu == 1 and basis == [(0,)]
+    assert milnor_number(BrieskornPham.of(2)) == mu
     mu, basis = milnor_number_and_basis(BrieskornPham.of(3, 3))
     assert mu == 4 and basis == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert milnor_number(BrieskornPham.of(3, 3)) == mu
 
 
 def test_a_lattice_examples():
@@ -146,6 +155,12 @@ def test_canonical_type_examples():
     assert kind is CanonicalType.GENERAL_TYPE and g == Fraction(-1, 42)
 
 
+@given(st.lists(st.integers(2, 60), min_size=1, max_size=6).map(tuple))
+@settings(max_examples=200)
+def test_canonical_type_matches_fraction_sum_oracle(exps):
+    assert canonical_type(BrieskornPham(exps)) == fraction_sum_canonical_type(exps)
+
+
 @given(exponent_vectors)
 @settings(max_examples=60)
 def test_fano_iff_weight_excess(exps):
@@ -172,6 +187,21 @@ def test_family_identities():
         assert kind is CanonicalType.FANO
     assert not in_sphere_link_family(BrieskornPham.of(6, 3, 2, 2, 2))
     assert not in_sphere_link_family(BrieskornPham.of(5, 3, 2, 2))
+
+
+def test_family_membership_matches_shape_oracle():
+    # First exponents 2..200 reach k = 0 and k >= 29; tails of length 0-5
+    # over {2, 3, 4} include every permutation of (3, 2, 2, 2) and every
+    # wrong length.
+    tails = [t for n in range(6) for t in product(range(2, 5), repeat=n)]
+    members = 0
+    for first in range(2, 201):
+        for tail in tails:
+            exps = (first, *tail)
+            expected = sphere_link_family_shape(exps)
+            assert in_sphere_link_family(BrieskornPham(exps)) == expected, exps
+            members += expected
+    assert members == 28
 
 
 def test_hom_dims_examples():

@@ -1,32 +1,23 @@
 import doctest
+import importlib
+import pkgutil
 
-import exotic_invariants.abelian
-import exotic_invariants.brieskorn
-import exotic_invariants.groups
-import exotic_invariants.hodge
-import exotic_invariants.snf
+import exotic_invariants
 
-
-def test_snf_doctests():
-    failures, _ = doctest.testmod(exotic_invariants.snf)
-    assert failures == 0
+# Least number of examples each module's doctests must run; a module not
+# listed has no minimum but is still run.
+MIN_TRIED = {"brieskorn": 2, "bundles": 1, "groups": 3, "hodge": 1, "tduality": 1}
 
 
-def test_abelian_doctests():
-    failures, _ = doctest.testmod(exotic_invariants.abelian)
-    assert failures == 0
+def _doctest_of(name):
+    def test():
+        module = importlib.import_module(f"exotic_invariants.{name}")
+        failures, tried = doctest.testmod(module)
+        assert failures == 0 and tried >= MIN_TRIED.get(name, 0)
+
+    return test
 
 
-def test_brieskorn_doctests():
-    failures, tried = doctest.testmod(exotic_invariants.brieskorn)
-    assert failures == 0 and tried >= 2
-
-
-def test_groups_doctests():
-    failures, tried = doctest.testmod(exotic_invariants.groups)
-    assert failures == 0 and tried >= 3
-
-
-def test_hodge_doctests():
-    failures, tried = doctest.testmod(exotic_invariants.hodge)
-    assert failures == 0 and tried >= 1
+# One test per module of the package, named test_<module>_doctests.
+for _module in pkgutil.iter_modules(exotic_invariants.__path__):
+    globals()[f"test_{_module.name}_doctests"] = _doctest_of(_module.name)

@@ -7,6 +7,7 @@ import pytest
 from exotic_invariants.abelian import Z, AbelianGroup, GradedGroups, divisibility_chain
 from exotic_invariants.brieskorn import BrieskornPham
 from exotic_invariants.errors import InvalidArgument
+from exotic_invariants.groups import GroupConfig
 from exotic_invariants.hodge import HodgeDiamond
 from exotic_invariants.snf import IntMatrix
 
@@ -23,6 +24,8 @@ BUILDERS = {
     "divisibility_chain": lambda x: divisibility_chain([x + 2, 6]),
     "HodgeDiamond.from_entries": lambda x: HodgeDiamond.from_entries({(0, 0): x, (4, 4): x}),
     "GradedGroups": lambda x: GradedGroups({x: Z}),
+    "GroupConfig order": lambda x: GroupConfig(order=x),
+    "GroupConfig coeff": lambda x: GroupConfig(coeff=x),
 }
 
 
