@@ -10,7 +10,6 @@ from exotic_invariants import (
     MilnorBundle,
     bundle_cohomology,
     canonical_form,
-    characteristic_classes,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -21,11 +20,10 @@ print("Characteristic classes of some small bundles")
 print("--------------------------------------------")
 for pair in [(0, 0), (1, 0), (2, -1), (3, -2), (2, 3)]:
     b = MilnorBundle(*pair)
-    c = characteristic_classes(b)
     print(
-        f"{b}: euler {c.euler:3d}  p1 {c.pontryagin:3d}  "
-        f"{'principal' if c.principal else 'generic  '}  "
-        f"{'homotopy sphere' if c.homotopy_sphere else ''}"
+        f"{b}: euler {b.euler:3d}  p1 {b.pontryagin:3d}  "
+        f"{'principal' if b.is_principal else 'generic  '}  "
+        f"{'homotopy sphere' if b.is_homotopy_sphere else ''}"
     )
 
 print()

@@ -2,9 +2,10 @@
 their spherical T-dual pairs, Brieskorn-Pham singularity links, and
 homotopy Hopf manifolds.
 
-Every computation is exact (arbitrary-precision integers and rationals),
-and every cohomology formula has an independent Smith-normal-form route
-it is checked against.
+Every computation is exact (arbitrary-precision integers and rationals).
+The bundle cohomology has a second, Smith-normal-form route
+(gysin_cohomology) that the tests check it against; the Kunneth products
+are checked against closed values and associativity.
 """
 
 from .abelian import (
@@ -36,11 +37,9 @@ from .brieskorn import (
     weights_and_degree,
 )
 from .bundles import (
-    CharClasses,
     MilnorBundle,
     bundle_cohomology,
     canonical_form,
-    characteristic_classes,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,

@@ -45,19 +45,6 @@ class MilnorBundle:
         return f"M({self.m},{self.n})"
 
 
-@dataclass(frozen=True)
-class CharClasses:
-    euler: int
-    pontryagin: int
-    principal: bool
-    homotopy_sphere: bool
-
-
-def characteristic_classes(b: MilnorBundle) -> CharClasses:
-    """Euler class m+n, first Pontryagin class 2(m-n), and the two flags."""
-    return CharClasses(b.euler, b.pontryagin, b.is_principal, b.is_homotopy_sphere)
-
-
 def canonical_form(b: MilnorBundle) -> MilnorBundle:
     """Lexicographically smaller of (m, n) and its mirror (-n, -m).
 
@@ -96,7 +83,7 @@ def bundle_cohomology(b: MilnorBundle) -> GradedGroups:
     if k == 0:
         groups[3] = Z
         groups[4] = Z
-    elif abs(k) != 1:
+    elif not b.is_homotopy_sphere:
         groups[4] = AbelianGroup.cyclic(k)
     return GradedGroups(groups)
 

@@ -24,13 +24,7 @@ from . import brieskorn as bk
 from . import groups as gr
 from . import hodge as hg
 from .abelian import AbelianGroup, GradedGroups
-from .bundles import (
-    MilnorBundle,
-    bundle_cohomology,
-    canonical_form,
-    characteristic_classes,
-    lambda_invariant,
-)
+from .bundles import MilnorBundle, bundle_cohomology, canonical_form, lambda_invariant
 from .errors import DomainError, InvalidArgument, OutOfFamily
 from .tduality import (
     FluxedBundle,
@@ -132,8 +126,6 @@ def _fluxed(fb: dict) -> FluxedBundle:
 
 
 def graded_table(cohomology: list) -> str:
-    if not cohomology:
-        return "  (all degrees trivial)"
     return "\n".join(f"  H^{d} = {_group(g)}" for d, g in cohomology)
 
 
@@ -151,17 +143,16 @@ def weighted_type_json(bp: bk.BrieskornPham) -> dict:
 
 def cmd_milnor(args) -> dict:
     b = MilnorBundle(args.m, args.n)
-    cls = characteristic_classes(b)
     lam = None
-    if args.require_lambda or cls.homotopy_sphere:
+    if args.require_lambda or b.is_homotopy_sphere:
         lam = lambda_invariant(b)  # raises NotHomotopySphere when forced
     return {
         "bundle": bundle_json(b),
         "canonical": bundle_json(canonical_form(b)),
-        "euler": cls.euler,
-        "pontryagin": cls.pontryagin,
-        "principal": cls.principal,
-        "homotopy_sphere": cls.homotopy_sphere,
+        "euler": b.euler,
+        "pontryagin": b.pontryagin,
+        "principal": b.is_principal,
+        "homotopy_sphere": b.is_homotopy_sphere,
         "lambda": lam,
         "cohomology": graded_json(bundle_cohomology(b)),
     }
@@ -570,7 +561,7 @@ def run(argv) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return e.code if e.code is not None else 0
+        return e.code
     try:
         payload = args.func(args)
     except (DomainError, InvalidArgument) as e:

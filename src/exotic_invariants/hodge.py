@@ -3,9 +3,10 @@
 These manifolds are products of a homotopy 7-sphere with a circle.  They
 are never Kahler, so conjugation symmetry h^{p,q} = h^{q,p} is NOT
 imposed; Serre duality h^{p,q} = h^{4-p,4-q} is, since every admissible
-diamond satisfies it.  The Betti numbers entering the constraints are
-b0 = b1 = b7 = b8 = 1 with b4 = 1 exactly in the nonunit branch (Euler
-class k != +-1), all other degrees zero.
+diamond satisfies it.  A diamond is admissible when each antidiagonal
+sum equals the Betti number of its degree: b0 = b1 = b7 = b8 = 1 with
+b4 = 1 exactly in the nonunit branch (Euler class k != +-1), all other
+degrees zero.  The paper's further constraints follow from these sums.
 """
 
 from __future__ import annotations
@@ -130,27 +131,18 @@ def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
 def ddbar_constraints_check(d: HodgeDiamond, k: int):
     """(passed, first_violation) for the branch selected by Euler class k.
 
-    Checks, in order: every antidiagonal sum equals the branch Betti
-    number; the two rank-one edge constraints h34+h43 = 1 and
-    h01+h10 = 1; and in the nonunit branch the degree-4 decomposition
-    b4 = 2*h40 + h22 + 2*h13, which forces h40 = h13 = 0.
+    Checks that every antidiagonal sum equals the branch Betti number.
+    The paper's other constraints need no check of their own.  The edge
+    constraints h34+h43 = 1 and h01+h10 = 1 are the p+q = 7 and p+q = 1
+    sums.  Under Serre duality h40 = h04 and h13 = h31, so the p+q = 4
+    sum is 2*h40 + h22 + 2*h13; when it equals b4 = 1 (nonunit branch)
+    the odd total forces h22 = 1 and h40 = h13 = 0.
     """
-    branch = branch_of_euler(k)
-    betti = betti_vector(branch)
+    betti = betti_vector(branch_of_euler(k))
     for r in range(2 * DIM + 1):
         got = d.antidiagonal_sum(r)
         if got != betti[r]:
             return False, f"sum over p+q={r} is {got}, expected b_{r}={betti[r]}"
-    if d[3, 4] + d[4, 3] != 1:
-        return False, f"h^(3,4)+h^(4,3) is {d[3, 4] + d[4, 3]}, expected 1"
-    if d[0, 1] + d[1, 0] != 1:
-        return False, f"h^(0,1)+h^(1,0) is {d[0, 1] + d[1, 0]}, expected 1"
-    if branch == NONUNIT:
-        combo = 2 * d[4, 0] + d[2, 2] + 2 * d[1, 3]
-        if combo != betti[4]:
-            return False, f"2h^(4,0)+h^(2,2)+2h^(1,3) is {combo}, expected b_4=1"
-        if d[4, 0] != 0 or d[1, 3] != 0:
-            return False, "h^(4,0) and h^(1,3) must vanish"
     return True, None
 
 

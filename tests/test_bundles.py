@@ -7,7 +7,6 @@ from exotic_invariants.bundles import (
     MilnorBundle,
     bundle_cohomology,
     canonical_form,
-    characteristic_classes,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -21,17 +20,17 @@ bundles_strategy = st.builds(
 
 
 def test_characteristic_classes_examples():
-    hopf = characteristic_classes(MilnorBundle(1, 0))
+    hopf = MilnorBundle(1, 0)
     assert (hopf.euler, hopf.pontryagin) == (1, 2)
-    assert hopf.principal and hopf.homotopy_sphere
+    assert hopf.is_principal and hopf.is_homotopy_sphere
 
-    gm = characteristic_classes(MilnorBundle(2, -1))
+    gm = MilnorBundle(2, -1)
     assert (gm.euler, gm.pontryagin) == (1, 6)
-    assert not gm.principal and gm.homotopy_sphere
+    assert not gm.is_principal and gm.is_homotopy_sphere
 
-    trivial = characteristic_classes(MilnorBundle(0, 0))
+    trivial = MilnorBundle(0, 0)
     assert (trivial.euler, trivial.pontryagin) == (0, 0)
-    assert trivial.principal and not trivial.homotopy_sphere
+    assert trivial.is_principal and not trivial.is_homotopy_sphere
 
 
 def test_canonical_form_examples():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -243,3 +247,31 @@ def test_shared_parser_matches_a_fresh_parser_per_request(monkeypatch):
     assert "steps" in json.loads(out[2]) and "steps" not in json.loads(out[3])
     assert shared[4]["rc"] == 2 and out[4] == "" and shared[5]["rc"] == 0
     assert out[6].startswith("{") and out[7].startswith("H*(")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr_lines",
+    [
+        (["milnor", "1", "0"], 0, 0),
+        (["milnor", "1", "1", "--lambda"], 1, 1),
+        (["brieskorn", "1", "2"], 2, 1),
+    ],
+    ids=["success", "domain error", "invalid argument"],
+)
+def test_module_entry_point_exit_status(argv, code, stderr_lines):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "exotic_invariants.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == stderr_lines
+    assert all(line.startswith("error: ") for line in lines)
+    assert bool(proc.stdout) == (code == 0)

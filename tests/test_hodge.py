@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 
@@ -102,6 +103,35 @@ def test_enumerations_closed_under_checker_and_frolicher():
             assert ok, why
             for r in range(9):
                 assert betti[r] <= d.antidiagonal_sum(r)
+
+
+SERRE_CELLS = [(p, q) for p in range(5) for q in range(5) if (p, q) <= (4 - p, 4 - q)]
+
+
+def serre_diamond(values) -> HodgeDiamond:
+    grid = [[0] * 5 for _ in range(5)]
+    for (p, q), value in zip(SERRE_CELLS, values):
+        grid[p][q] = grid[4 - p][4 - q] = value
+    return HodgeDiamond(tuple(map(tuple, grid)))
+
+
+@pytest.mark.parametrize("branch, k", [(UNIT, 1), (NONUNIT, 3)])
+def test_betti_sums_imply_the_paper_constraints(branch, k):
+    """The checker tests only the Betti sums; every 0/1 Serre-symmetric
+    diamond it passes also meets the paper's edge and degree-4 rules."""
+    assert len(SERRE_CELLS) == 13
+    passed = 0
+    for values in product((0, 1), repeat=len(SERRE_CELLS)):
+        d = serre_diamond(values)
+        if not ddbar_constraints_check(d, k)[0]:
+            continue
+        passed += 1
+        assert d[0, 1] + d[1, 0] == 1
+        assert d[3, 4] + d[4, 3] == 1
+        if branch == NONUNIT:
+            assert 2 * d[4, 0] + d[2, 2] + 2 * d[1, 3] == 1
+            assert d[4, 0] == d[1, 3] == 0
+    assert passed == len(enumerate_admissible_diamonds(branch))
 
 
 def test_hopf_manifold_cohomology():

@@ -88,6 +88,21 @@ def test_determinant_routes_agree(m):
         assert determinant(m) == cofactor_determinant(m)
 
 
+@pytest.mark.parametrize(
+    "rows, det",
+    [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 1, 2], [0, 3, 4], [5, 6, 7]], -10),
+        ([[0, 1], [0, 2]], 0),
+        ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),
+    ],
+    ids=["swap next row", "swap past a zero", "zero column", "zero pivot later"],
+)
+def test_determinant_zero_pivots(rows, det):
+    m = IntMatrix.from_rows(rows)
+    assert determinant(m) == cofactor_determinant(m) == det
+
+
 @given(matrices())
 @settings(max_examples=100)
 def test_rank_bounded(m):
