@@ -21,6 +21,10 @@ class MilnorBundle:
     m: int
     n: int
 
+    def __post_init__(self):
+        if not (isinstance(self.m, int) and isinstance(self.n, int)):
+            raise InvalidArgument("clutching exponents must be integers")
+
     @property
     def euler(self) -> int:
         return self.m + self.n

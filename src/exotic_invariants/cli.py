@@ -6,7 +6,10 @@ rationals as lowest-terms "p/q" strings, so re-serializing the parsed
 output reproduces the bytes), otherwise through the subcommand's `*_table`
 renderer, which reads only the payload.  The --json output is byte-equal
 to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
-floats), and the argument parser is built once per process.
+floats).  The argument parser is built once per process and holds only
+argument grammar: `run` looks up `cmd_<name>` and `<name>_table` in this
+module when each request arrives, with <name> the subcommand's name with
+"-" turned into "_", so every subcommand must keep that naming.
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
@@ -446,7 +449,10 @@ def family_report_table(p: dict) -> str:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared afterwards.
 
-    Every call returns the same parser, so callers must not mutate it.
+    Every call returns the same parser, so callers must not mutate it.  It
+    carries argument grammar only, no functions: `run` finds each
+    subcommand's `cmd_<name>` and `<name>_table` by name, so a replacement
+    of either in this module takes effect on the next request.
     """
     parser = argparse.ArgumentParser(
         prog="exotic-invariants",
@@ -457,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     jsonable = argparse.ArgumentParser(add_help=False)
     jsonable.add_argument("--json", action="store_true", help="emit canonical JSON")
+
+    exponents = argparse.ArgumentParser(add_help=False, parents=[jsonable])
+    exponents.add_argument("exponents", type=int, nargs="+")
 
     grouped = argparse.ArgumentParser(add_help=False)
     grouped.add_argument(
@@ -478,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="insist on the mod-7 invariant (error for non-spheres)",
     )
-    p.set_defaults(func=cmd_milnor, table=milnor_table)
 
     p = sub.add_parser("tdual", parents=[jsonable], help="spherical T-dual pair")
     p.add_argument("--m", type=int, required=True, help="first clutching exponent")
@@ -487,20 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--principal", action="store_true", help="use the principal duality rule"
     )
-    p.set_defaults(func=cmd_tdual, table=tdual_table)
 
-    p = sub.add_parser("brieskorn", parents=[jsonable], help="singularity invariants")
-    p.add_argument("exponents", type=int, nargs="+")
+    p = sub.add_parser("brieskorn", parents=[exponents], help="singularity invariants")
     p.add_argument("--spectrum", action="store_true", help="include the spectrum")
-    p.set_defaults(func=cmd_brieskorn, table=brieskorn_table)
 
-    p = sub.add_parser("lattice", parents=[jsonable], help="intersection lattice")
-    p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_lattice, table=lattice_table)
-
-    p = sub.add_parser("spectrum", parents=[jsonable], help="singularity spectrum")
-    p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_spectrum, table=spectrum_table)
+    sub.add_parser("lattice", parents=[exponents], help="intersection lattice")
+    sub.add_parser("spectrum", parents=[exponents], help="singularity spectrum")
 
     p = sub.add_parser(
         "theta7", parents=[jsonable, grouped], help="sphere-group arithmetic"
@@ -514,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("START", "STEP", "TARGET"),
         help="count connected-sum steps from START to TARGET",
     )
-    p.set_defaults(func=cmd_theta7, table=theta7_table)
 
     p = sub.add_parser(
         "sigma8", parents=[jsonable, grouped], help="product-group arithmetic"
@@ -522,36 +521,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument("l", type=int)
-    p.set_defaults(func=cmd_sigma8, table=sigma8_table)
 
-    p = sub.add_parser(
-        "fano", parents=[jsonable], help="moduli of circle representations"
-    )
-    p.add_argument("exponents", type=int, nargs="+")
-    p.set_defaults(func=cmd_fano, table=fano_table)
+    sub.add_parser("fano", parents=[exponents], help="moduli of circle representations")
 
     p = sub.add_parser("isotropy", parents=[jsonable], help="link isotropy types")
     p.add_argument("k", type=int)
     p.add_argument("l", type=int)
-    p.set_defaults(func=cmd_isotropy, table=isotropy_table)
 
     p = sub.add_parser("hodge", parents=[jsonable], help="admissible Hodge diamonds")
     p.add_argument("--branch", choices=[hg.UNIT, hg.NONUNIT], required=True)
-    p.set_defaults(func=cmd_hodge, table=hodge_table)
 
     p = sub.add_parser(
         "kunneth", parents=[jsonable], help="cohomology of bundle x circle"
     )
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=cmd_kunneth, table=kunneth_table)
 
     p = sub.add_parser(
         "family-report", parents=[jsonable], help="per-k table of link invariants"
     )
     p.add_argument("--start", type=int, default=bk.FAMILY_RANGE[0])
     p.add_argument("--end", type=int, default=bk.FAMILY_RANGE[-1])
-    p.set_defaults(func=cmd_family_report, table=family_report_table)
 
     return parser
 
@@ -562,8 +552,9 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code
+    name = args.command.replace("-", "_")
     try:
-        payload = args.func(args)
+        payload = globals()[f"cmd_{name}"](args)
     except (DomainError, InvalidArgument) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, InvalidArgument) else 1
@@ -571,7 +562,7 @@ def run(argv) -> int:
         payload["schema_version"] = SCHEMA_VERSION
         print(canonical_json(payload))
     else:
-        print(args.table(payload))
+        print(globals()[f"{name}_table"](payload))
     return 0
 
 

@@ -49,6 +49,8 @@ class _Residue:
     config: GroupConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
+        if not isinstance(self.residue, int):
+            raise InvalidArgument("residue must be an integer")
         if not 0 <= self.residue < self.config.order:
             raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
@@ -66,6 +68,10 @@ class RepClass:
     """An equivalence class of circle representations q -> lambda^l q."""
 
     exponent: int
+
+    def __post_init__(self):
+        if not isinstance(self.exponent, int):
+            raise InvalidArgument("representation exponent must be an integer")
 
 
 def theta7(value: int, config: GroupConfig = DEFAULT_CONFIG) -> Theta7Element:
@@ -149,9 +155,7 @@ class LinkIsotropy:
 def family_weights(k: int) -> tuple:
     """Circle-action weight vector on the k-th link:
     (6, 2(6k-1), 3(6k-1), 3(6k-1), 3(6k-1))."""
-    ell, weights = weights_and_degree(milnor_family(k))
-    assert ell == 6 * (6 * k - 1)
-    return weights
+    return weights_and_degree(milnor_family(k))[1]
 
 
 def link_isotropies(k: int, l: int) -> list:

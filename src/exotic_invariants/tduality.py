@@ -16,13 +16,17 @@ from math import gcd
 
 from .abelian import AbelianGroup
 from .bundles import MilnorBundle
-from .errors import DegenerateInput, NotPrincipal
+from .errors import DegenerateInput, InvalidArgument, NotPrincipal
 
 
 @dataclass(frozen=True)
 class FluxedBundle:
     bundle: MilnorBundle
     flux: int
+
+    def __post_init__(self):
+        if not isinstance(self.flux, int):
+            raise InvalidArgument("flux class must be an integer")
 
     def __str__(self):
         return f"({self.bundle}, [{self.flux}])"

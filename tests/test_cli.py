@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from exotic_invariants import cli
 from exotic_invariants.cli import canonical_json, run
 from oracles import canonical_json_oracle
-from test_cli_goldens import invoke
+from test_cli_goldens import SUBCOMMANDS, invoke
 
 COMMANDS = [
     ["milnor", "2", "-1"],
@@ -247,6 +248,27 @@ def test_shared_parser_matches_a_fresh_parser_per_request(monkeypatch):
     assert "steps" in json.loads(out[2]) and "steps" not in json.loads(out[3])
     assert shared[4]["rc"] == 2 and out[4] == "" and shared[5]["rc"] == 0
     assert out[6].startswith("{") and out[7].startswith("H*(")
+
+
+def test_every_subcommand_has_a_payload_and_a_table():
+    (subparsers,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == SUBCOMMANDS
+    for name in (choice.replace("-", "_") for choice in subparsers.choices):
+        assert callable(getattr(cli, f"cmd_{name}"))
+        assert callable(getattr(cli, f"{name}_table"))
+
+
+def test_run_calls_the_functions_bound_at_call_time(monkeypatch):
+    assert invoke(["milnor", "1", "0"])["rc"] == 0  # the shared parser exists now
+    monkeypatch.setattr(cli, "cmd_milnor", lambda args: {"replaced": [args.m, args.n]})
+    monkeypatch.setattr(cli, "milnor_table", lambda p: f"replaced {p['replaced']}")
+    assert invoke(["milnor", "1", "0"])["stdout"] == "replaced [1, 0]\n"
+    doc = json.loads(invoke(["milnor", "1", "0", "--json"])["stdout"])
+    assert doc == {"replaced": [1, 0], "schema_version": cli.SCHEMA_VERSION}
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

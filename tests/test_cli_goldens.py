@@ -1,7 +1,10 @@
 """Byte-for-byte replay of recorded CLI invocations.
 
 `goldens/cli.json` holds (argv, rc, stdout, stderr) for every argv below,
-once in table mode and once with --json.  Re-record it with
+once in table mode and once with --json, and `goldens/cli_help.json` the
+same for the top-level --help and each subcommand's --help.  Every
+invocation runs at COLUMNS=80, because argparse wraps help and usage
+messages to the terminal width.  Re-record both with
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 
@@ -10,14 +13,23 @@ only when an output change is intended.
 
 import io
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 from exotic_invariants.cli import run
 
 GOLDENS = Path(__file__).parent / "goldens" / "cli.json"
+HELP_GOLDENS = Path(__file__).parent / "goldens" / "cli_help.json"
+
+SUBCOMMANDS = [
+    "milnor", "tdual", "brieskorn", "lattice", "spectrum", "theta7",
+    "sigma8", "fano", "isotropy", "hodge", "kunneth", "family-report",
+]
+HELP_ARGV = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
 
 ARGV = [
     ["milnor", "2", "-1"],
@@ -77,7 +89,7 @@ ARGV = [
 
 def invoke(argv) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
         rc = run(argv)
     return {"argv": argv, "rc": rc, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
@@ -86,9 +98,12 @@ def record() -> None:
     entries = [invoke(argv + mode) for argv in ARGV for mode in ([], ["--json"])]
     GOLDENS.parent.mkdir(exist_ok=True)
     GOLDENS.write_text(json.dumps(entries, indent=1) + "\n")
+    help_entries = [invoke(argv) for argv in HELP_ARGV]
+    HELP_GOLDENS.write_text(json.dumps(help_entries, indent=1) + "\n")
 
 
 GOLDEN_ENTRIES = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else []
+HELP_ENTRIES = json.loads(HELP_GOLDENS.read_text()) if HELP_GOLDENS.exists() else []
 
 
 def test_goldens_cover_every_argv_in_both_modes():
@@ -98,6 +113,15 @@ def test_goldens_cover_every_argv_in_both_modes():
 
 @pytest.mark.parametrize("entry", GOLDEN_ENTRIES, ids=lambda e: " ".join(e["argv"]))
 def test_cli_output_matches_golden(entry):
+    assert invoke(entry["argv"]) == entry
+
+
+def test_help_goldens_cover_every_subcommand():
+    assert [entry["argv"] for entry in HELP_ENTRIES] == HELP_ARGV
+
+
+@pytest.mark.parametrize("entry", HELP_ENTRIES, ids=lambda e: " ".join(e["argv"]))
+def test_help_matches_golden(entry):
     assert invoke(entry["argv"]) == entry
 
 

@@ -13,10 +13,18 @@ from exotic_invariants.abelian import (
     sphere_cohomology,
 )
 from exotic_invariants.brieskorn import BrieskornPham, MilnorLattice, Spectrum
+from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
-from exotic_invariants.groups import GroupConfig, Theta7Element, de_sapio_steps, theta7
+from exotic_invariants.groups import (
+    GroupConfig,
+    RepClass,
+    Theta7Element,
+    de_sapio_steps,
+    theta7,
+)
 from exotic_invariants.hodge import HodgeDiamond
 from exotic_invariants.snf import IntMatrix, determinant
+from exotic_invariants.tduality import FluxedBundle
 
 BUILDERS = {
     "IntMatrix": lambda x: IntMatrix(1, 2, (x, 1)),
@@ -33,6 +41,11 @@ BUILDERS = {
     "GradedGroups": lambda x: GradedGroups({x: Z}),
     "GroupConfig order": lambda x: GroupConfig(order=x),
     "GroupConfig coeff": lambda x: GroupConfig(coeff=x),
+    "MilnorBundle m": lambda x: MilnorBundle(x, 0),
+    "MilnorBundle n": lambda x: MilnorBundle(0, x),
+    "FluxedBundle flux": lambda x: FluxedBundle(MilnorBundle(1, 0), x),
+    "RepClass exponent": lambda x: RepClass(x),
+    "Theta7Element residue": lambda x: Theta7Element(x),
 }
 
 
@@ -41,6 +54,13 @@ BUILDERS = {
 def test_non_integers_are_rejected(build, value):
     with pytest.raises(InvalidArgument):
         build(value)
+
+
+def test_bools_pass_as_integers():
+    assert MilnorBundle(True, False).euler == 1
+    assert FluxedBundle(MilnorBundle(1, 0), True).flux == 1
+    assert RepClass(True).exponent == 1
+    assert theta7(True).residue == 1
 
 
 REJECTED = {

@@ -147,6 +147,9 @@ def test_log_transform_connects_any_two_classes():
 def test_family_weights():
     assert family_weights(1) == (6, 10, 15, 15, 15)
     assert family_weights(2) == (6, 22, 33, 33, 33)
+    for k in range(1, 29):
+        q = 6 * k - 1
+        assert family_weights(k) == (6, 2 * q, 3 * q, 3 * q, 3 * q)
     with pytest.raises(OutOfFamily):
         family_weights(0)
 
