@@ -16,12 +16,43 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import comb, lcm
 
 from .errors import InvalidArgument, OutOfFamily
 from .snf import IntMatrix
 
-FAMILY_RANGE = range(1, 29)
+
+def _bernoulli(n: int) -> Fraction:
+    """The Bernoulli number B_n, with B_1 = -1/2, from the recurrence
+    sum_{k <= j} C(j + 1, k) B_k = 0 for j >= 1.
+
+    B_4 also fixes the first coefficient of the weight-4 Eisenstein series,
+    E_4 = 1 + 240 q + ..., as -8 / B_4:
+
+    >>> _bernoulli(4), -8 / _bernoulli(4)
+    (Fraction(-1, 30), Fraction(240, 1))
+    """
+    b = [Fraction(1)]
+    for j in range(1, n + 1):
+        b.append(-sum(comb(j + 1, k) * b[k] for k in range(j)) / (j + 1))
+    return b[n]
+
+
+def _bp_order(m: int) -> int:
+    """|bP_4m|, the number of homotopy (4m - 1)-spheres that bound
+    parallelizable manifolds, by Kervaire-Milnor (Ann. of Math. 1963):
+    2^(2m - 2) (2^(2m - 1) - 1) times the numerator of 4 B_2m / m.
+
+    >>> _bp_order(2), _bp_order(3)
+    (28, 992)
+    """
+    return 2 ** (2 * m - 2) * (2 ** (2 * m - 1) - 1) * abs((4 * _bernoulli(2 * m) / m).numerator)
+
+
+# Order of the cyclic group bP_8 of homotopy 7-spheres, the size of the link
+# family below and the default order of the groups module.
+BP8_ORDER = _bp_order(2)
+FAMILY_RANGE = range(1, BP8_ORDER + 1)
 
 
 @dataclass(frozen=True)
@@ -201,7 +232,7 @@ def canonical_type(bp: BrieskornPham):
 def milnor_family(k: int) -> BrieskornPham:
     """Member k of the exotic-sphere link family (6k-1, 3, 2, 2, 2)."""
     if k not in FAMILY_RANGE:
-        raise OutOfFamily(f"family index must be in 1..28, got {k}")
+        raise OutOfFamily(f"family index must be in 1..{BP8_ORDER}, got {k}")
     return BrieskornPham.of(6 * k - 1, 3, 2, 2, 2)
 
 

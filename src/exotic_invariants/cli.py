@@ -408,7 +408,7 @@ def cmd_family_report(args) -> dict:
         return {"rows": []}
     if args.start not in bk.FAMILY_RANGE or args.end not in bk.FAMILY_RANGE:
         raise OutOfFamily(
-            f"range {args.start}..{args.end} leaves the family range 1..28"
+            f"range {args.start}..{args.end} leaves the family range 1..{bk.BP8_ORDER}"
         )
     rows = []
     for k in range(args.start, args.end + 1):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .brieskorn import milnor_family, weights_and_degree
+from .brieskorn import BP8_ORDER, milnor_family, weights_and_degree
 from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable
 
 
@@ -24,7 +24,7 @@ from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable
 class GroupConfig:
     """Cyclic order N and the coefficient c of the bilinear pairing."""
 
-    order: int = 28
+    order: int = BP8_ORDER
     coeff: int = 1
 
     def __post_init__(self):

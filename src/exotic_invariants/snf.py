@@ -4,12 +4,14 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form intermediates can blow up far past 64 bits even for small inputs, so
 no fixed-width array library is used.
 
-`invariant_factors` returns the Smith diagonal alone, all that ranks,
-kernels and cokernels need.  `smith_normal_form` runs the same elimination
-on M bordered by identity blocks, I_m to the right and I_n below, so the
-row operations build U in the right border and the column operations build
-V in the bottom one.  The borders are where the integers grow; call it
-only when U or V is needed.
+Two elimination loops serve four jobs.  A fraction-free (Bareiss) row
+elimination gives `rank`, which kernels need, and `determinant`.  The
+Smith elimination gives the rest.  `invariant_factors` returns the Smith
+diagonal alone, all that cokernels need.  `smith_normal_form` runs the
+same elimination on M bordered by identity blocks, I_m to the right and
+I_n below, so the row operations build U in the right border and the
+column operations build V in the bottom one.  The borders are where the
+integers grow; call it only when U or V is needed.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -203,38 +205,49 @@ def smith_normal_form(M: IntMatrix):
     )
 
 
+def _bareiss(M: IntMatrix):
+    """(r, d): the rank r of M and its leading r x r pivot minor d, signed
+    by the row swaps, by fraction-free (Bareiss) row elimination.
+
+    A column with no nonzero entry left below the pivot rows is skipped.
+    Every entry below the pivot rows stays a minor of M, so each division
+    by the previous pivot is exact and the integers grow only as minors do.
+    """
+    a = M.to_lists()
+    r, sign, prev = 0, 1, 1
+    for c in range(M.cols):
+        piv = next((i for i in range(r, M.rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        p, tail = a[r][c], a[r][c + 1 :]
+        for row in a[r + 1 :]:
+            f = row[c]
+            row[c + 1 :] = [(x * p - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
+        r, prev = r + 1, p
+    return r, sign * prev
+
+
 def rank(M: IntMatrix) -> int:
-    """Rank over the rationals, read off the Smith diagonal."""
-    return sum(1 for x in invariant_factors(M) if x != 0)
+    """Rank over the rationals, the number of pivots of the Bareiss
+    elimination.
+
+    >>> rank(IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]]))
+    2
+    """
+    return _bareiss(M)[0]
 
 
 def determinant(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+    """Exact determinant, the full pivot minor of the Bareiss elimination,
+    or 0 when a column has no pivot.
 
     Independent of the Smith normal form code path, so the two can be
     cross-checked against each other.
     """
     if M.rows != M.cols:
         raise InvalidArgument("determinant needs a square matrix")
-    n = M.rows
-    if n == 0:
-        return 1
-    a = M.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
+    r, d = _bareiss(M)
+    return d if r == M.rows else 0

@@ -79,26 +79,28 @@ def cofactor_determinant(M):
     return expand(M.to_lists())
 
 
-def fraction_free_rank(rows):
-    """Rank over the rationals by fraction-free (Bareiss) row reduction.
+def rational_rank(rows):
+    """Rank over the rationals by Gaussian elimination on Fractions.
 
-    Each entry below the pivots stays a minor of the input, so every
-    division is exact; columns with no pivot left are skipped.
+    Each pivot row is scaled to a leading 1 and cleared from every other
+    row, so the matrix ends in reduced row echelon form; the rank is the
+    number of nonzero rows left.
     """
-    a = [list(r) for r in rows]
-    rank, prev = 0, 1
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = 0
     for c in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][c]), None)
+        piv = next((i for i in range(pivots, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        top = a[rank]
-        for i in range(rank + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(x * top[c] - f * y) // prev for x, y in zip(a[i], top)]
-        prev = top[c]
-        rank += 1
-    return rank
+        a[pivots], a[piv] = a[piv], a[pivots]
+        lead = a[pivots][c]
+        top = a[pivots] = [x / lead for x in a[pivots]]
+        for i, r in enumerate(a):
+            f = r[c]
+            if i != pivots and f != 0:
+                a[i] = [x - f * y for x, y in zip(r, top)]
+        pivots += 1
+    return sum(1 for r in a if any(r))
 
 
 def _chain_pairing(a, b):

@@ -9,7 +9,7 @@ from exotic_invariants.snf import (
     rank,
     smith_normal_form,
 )
-from oracles import cofactor_determinant, fraction_free_rank
+from oracles import cofactor_determinant, rational_rank
 
 
 def matrices(max_dim=6, bound=20):
@@ -89,18 +89,26 @@ def test_determinant_routes_agree(m):
 
 
 @pytest.mark.parametrize(
-    "rows, det",
+    "rows, det, rk",
     [
-        ([[0, 1], [1, 0]], -1),
-        ([[0, 1, 2], [0, 3, 4], [5, 6, 7]], -10),
-        ([[0, 1], [0, 2]], 0),
-        ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0),
+        ([[0, 1], [1, 0]], -1, 2),
+        ([[0, 1, 2], [0, 3, 4], [5, 6, 7]], -10, 3),
+        ([[0, 1], [0, 2]], 0, 1),
+        ([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 0, 2),
+        ([[0, 1, 2], [0, 3, 4], [0, 5, 7]], 0, 2),
     ],
-    ids=["swap next row", "swap past a zero", "zero column", "zero pivot later"],
+    ids=[
+        "swap next row",
+        "swap past a zero",
+        "zero column",
+        "zero pivot later",
+        "zero column then pivots",
+    ],
 )
-def test_determinant_zero_pivots(rows, det):
+def test_determinant_zero_pivots(rows, det, rk):
     m = IntMatrix.from_rows(rows)
     assert determinant(m) == cofactor_determinant(m) == det
+    assert rank(m) == rk
 
 
 @given(matrices())
@@ -120,8 +128,26 @@ def test_invariant_factors_match_smith_diagonal(m):
 
 @given(shaped_matrices())
 @settings(max_examples=200)
-def test_rank_matches_fraction_free_oracle(m):
-    assert rank(m) == fraction_free_rank(m.to_lists())
+def test_rank_matches_rational_oracle(m):
+    assert rank(m) == rational_rank(m.to_lists())
+
+
+@given(shaped_matrices())
+@example(IntMatrix.zero(0, 0))
+@example(IntMatrix.zero(0, 3))
+@example(IntMatrix.zero(3, 0))
+@example(IntMatrix.from_rows([[1, 2], [2, 4]]))
+@example(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))
+@settings(max_examples=200)
+def test_rank_counts_smith_diagonal(m):
+    assert rank(m) == sum(1 for x in invariant_factors(m) if x)
+    # M M^T is square with the rank of M, singular when M has more rows than
+    # its rank, so every example also checks a square matrix.
+    gram = m @ m.transpose()
+    assert rank(gram) == rank(m)
+    for sq in (m, gram):
+        if sq.rows == sq.cols:
+            assert (determinant(sq) == 0) == (rank(sq) < sq.rows)
 
 
 def test_empty_shapes():
