@@ -17,17 +17,15 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidArgument
-from .snf import IntMatrix, invariant_factors, rank
+from .snf import IntMatrix, _gcd_lcm_exchange, invariant_factors, rank
 
 
 def divisibility_chain(orders) -> tuple:
     """Normalize cyclic orders (all >= 2) to a chain d1 | d2 | ... .
 
-    One gcd/lcm exchange per non-dividing pair i < j, in row order.  After
-    row i, vals[i] divides every later entry, and later rows only replace
-    entries by gcds and lcms of multiples of vals[i]; so one pass leaves a
-    chain, already non-decreasing, with the gcds equal to 1 dropped.  The
-    SNF of the diagonal matrix gives the same answer, as the tests check.
+    The one-pass gcd/lcm exchange of `snf._gcd_lcm_exchange`, which
+    `invariant_factors` shares, with the gcds equal to 1 dropped.  The SNF
+    of the diagonal matrix gives the same answer, as the tests check.
 
     >>> divisibility_chain([12, 6, 2])
     (2, 6, 12)
@@ -37,13 +35,7 @@ def divisibility_chain(orders) -> tuple:
     vals = list(orders)
     if any(not isinstance(d, int) or d < 2 for d in vals):
         raise InvalidArgument("chain normalization expects integer orders >= 2")
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            a, b = vals[i], vals[j]
-            if b % a != 0:
-                g = gcd(a, b)
-                vals[i], vals[j] = g, a * b // g
-    return tuple(d for d in vals if d >= 2)
+    return tuple(d for d in _gcd_lcm_exchange(vals) if d >= 2)
 
 
 @dataclass(frozen=True)

@@ -213,12 +213,18 @@ def weights_and_degree(bp: BrieskornPham):
 
 
 def canonical_type(bp: BrieskornPham):
-    """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell.
+    """(type, Gorenstein parameter) of bp's weighted grading; see
+    `canonical_type_from_weights`."""
+    return canonical_type_from_weights(*weights_and_degree(bp))
+
+
+def canonical_type_from_weights(ell: int, weights):
+    """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell,
+    with (ell, w) from `weights_and_degree`.
 
     s > 1 is Fano, s = 1 Calabi-Yau, s < 1 general type; the Gorenstein
     parameter is s - 1 as an exact rational.
     """
-    ell, weights = weights_and_degree(bp)
     s = Fraction(sum(weights), ell)
     if s > 1:
         kind = CanonicalType.FANO

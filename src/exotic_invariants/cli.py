@@ -135,7 +135,7 @@ def graded_table(cohomology: list) -> str:
 def weighted_type_json(bp: bk.BrieskornPham) -> dict:
     """Degree, weights, canonical type and Gorenstein parameter of bp."""
     ell, weights = bk.weights_and_degree(bp)
-    kind, gorenstein = bk.canonical_type(bp)
+    kind, gorenstein = bk.canonical_type_from_weights(ell, weights)
     return {
         "degree": ell,
         "weights": list(weights),

@@ -4,14 +4,16 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form intermediates can blow up far past 64 bits even for small inputs, so
 no fixed-width array library is used.
 
-Two elimination loops serve four jobs.  A fraction-free (Bareiss) row
-elimination gives `rank`, which kernels need, and `determinant`.  The
-Smith elimination gives the rest.  `invariant_factors` returns the Smith
-diagonal alone, all that cokernels need.  `smith_normal_form` runs the
-same elimination on M bordered by identity blocks, I_m to the right and
-I_n below, so the row operations build U in the right border and the
-column operations build V in the bottom one.  The borders are where the
-integers grow; call it only when U or V is needed.
+Three elimination loops serve four jobs.  A fraction-free (Bareiss) row
+elimination gives `rank`, which kernels need, `determinant`, and the
+pivot minor D that `invariant_factors` works modulo: one pass per column
+over Z/DZ gives the Smith diagonal alone, all that cokernels need.  The
+smallest-pivot Smith elimination serves `smith_normal_form` only, run on
+M bordered by identity blocks, I_m to the right and I_n below, so the
+row operations build U in the right border and the column operations
+build V in the bottom one.  The borders are where the integers grow;
+call it only when U or V is needed.  Its diagonal is the tests' oracle
+for `invariant_factors`.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import gcd
 from operator import mul
 
 from .errors import InvalidArgument
@@ -174,15 +177,130 @@ def _min_pivot(a, t, nrows, ncols):
 
 
 def invariant_factors(M: IntMatrix) -> list:
-    """The Smith diagonal d1 | d2 | ... of M, min(rows, cols) entries long,
-    from the elimination of `smith_normal_form` run on M without borders.
+    """The Smith diagonal d1 | d2 | ... of M, min(rows, cols) entries long.
+
+    d1...dr divides the rank-r pivot minor D of `_bareiss`, so M diagonalised
+    over Z/DZ gives each di as a gcd with D (Hafner-McCurley, SIAM J. Comput.
+    1991; Domich-Kannan-Trotter, Math. Oper. Res. 1987).
 
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
     [2, 6, 12]
     """
-    a = M.to_lists()
-    _eliminate(a, M.rows, M.cols)
-    return [a[i][i] for i in range(min(M.rows, M.cols))]
+    r, d = _bareiss(M)
+    D = abs(d)
+    factors = [1] * r
+    if D > 1:
+        # Z^rows / (col span M + D Z^rows) is the sum of the Z/di and
+        # rows - r copies of Z/D, and every di divides D: so the chain of
+        # the diagonal's gcds, padded with 1s to rows entries, is d1, ...,
+        # dr and then D repeated.
+        orders = _diagonal_gcds(M.to_lists(), D)
+        factors = ([1] * (M.rows - len(orders)) + _gcd_lcm_exchange(orders))[:r]
+    return factors + [0] * (min(M.rows, M.cols) - r)
+
+
+def _diagonal_gcds(a, D) -> list:
+    """gcd(s, D) for each diagonal entry s of the rows `a` diagonalised over
+    Z/DZ, omitting those equal to 1, and D for each row left without a
+    pivot.  `a` is consumed.
+
+    Column by column: the pivot row is the first row whose entry in the
+    column is a unit mod D, or failing one, the row whose entry has the
+    smallest gcd g with D.  Every other entry f that g divides is cleared
+    by one row operation, row -= q * pivot row with q * pivot = f mod D;
+    any other f is merged into the pivot by a 2x2 extended-gcd row
+    combination of determinant 1, which makes g smaller.  A unit pivot
+    (g = 1) always takes the first branch, so its column costs one pass.
+    When g divides the rest of the pivot row, column operations would
+    clear that row without touching the others, so the row is done and
+    gives g.  Otherwise 2x2 extended-gcd column combinations shrink g
+    again and refill the column below the pivot, which is then scanned
+    anew.  Only the pivot row and the multipliers are reduced, to residues
+    of size at most D/2; other entries are reduced when they reach the
+    pivot column or the pivot row, so each update is one product and one
+    subtraction, and no entry outgrows about rows * D^2.
+    """
+    half = D >> 1
+    out = []
+    for _ in range(len(a[0]) if a else 0):
+        while a:
+            piv, g = None, D
+            for i, row in enumerate(a):
+                x = row[0] = (row[0] + half) % D - half
+                if x and (h := gcd(x, D)) < g:
+                    piv, g = i, h
+                    if g == 1:
+                        break
+            if piv is None:
+                break  # the column is zero mod D
+            top = a.pop(piv)
+            top[:] = [(y + half) % D - half for y in top]
+            Dg = D // g
+            inv = pow(top[0] // g, -1, Dg)
+            for i, row in enumerate(a):
+                f = (row[0] + half) % D - half
+                if not f:
+                    continue
+                if f % g == 0:
+                    q = (f // g * inv + Dg // 2) % Dg - Dg // 2
+                    a[i] = [x - q * y for x, y in zip(row, top)]
+                    continue
+                h, s, u = _xgcd(top[0], f)
+                p0, f0 = top[0] // h, f // h
+                top[:], a[i] = (
+                    [(s * y + u * x + half) % D - half for x, y in zip(row, top)],
+                    [(p0 * x - f0 * y + half) % D - half for x, y in zip(row, top)],
+                )
+                g = gcd(h, D)
+                Dg = D // g
+                inv = pow(top[0] // g, -1, Dg)
+            if g == 1 or not any(y % g for y in top):
+                if g > 1:
+                    out.append(g)
+                break
+            for j in range(1, len(top)):
+                if top[j] % g:
+                    h, s, u = _xgcd(top[0], top[j])
+                    p0, f0 = top[0] // h, top[j] // h
+                    for row in [top] + a:
+                        x, y = row[0], row[j]
+                        row[0], row[j] = (s * x + u * y) % D, (p0 * y - f0 * x) % D
+                    g = gcd(h, D)
+            a.insert(0, top)
+        for row in a:
+            del row[0]
+    return out + [D] * len(a)
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, u) with s * a + u * b = g = gcd(a, b)."""
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return (a, s0, u0) if a >= 0 else (-a, -s0, -u0)
+
+
+def _gcd_lcm_exchange(vals: list) -> list:
+    """Put the positive integers `vals` in a chain d1 | d2 | ... in place,
+    keeping their number and product, and return the list.
+
+    One gcd/lcm exchange per non-dividing pair i < j, in row order.  After
+    row i, vals[i] divides every later entry, and later rows only replace
+    entries by gcds and lcms of multiples of vals[i]; so one pass leaves a
+    chain, already non-decreasing.
+
+    >>> _gcd_lcm_exchange([4, 6, 9])
+    [1, 6, 36]
+    """
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            a, b = vals[i], vals[j]
+            if b % a:
+                g = gcd(a, b)
+                vals[i], vals[j] = g, a * b // g
+    return vals
 
 
 def smith_normal_form(M: IntMatrix):

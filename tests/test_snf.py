@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exotic_invariants.brieskorn import milnor_family, milnor_lattice
 from exotic_invariants.snf import (
     IntMatrix,
     determinant,
@@ -117,13 +118,41 @@ def test_rank_bounded(m):
     assert 0 <= rank(m) <= min(m.rows, m.cols)
 
 
-@given(shaped_matrices())
+def scaled_matrices():
+    """Shaped matrices with every entry times a common factor c >= 2.  Then
+    c divides the pivot minor D and every entry, so no entry is a unit mod D
+    and every column of `invariant_factors` takes the gcd route."""
+    return st.tuples(shaped_matrices(), st.integers(2, 12)).map(
+        lambda t: IntMatrix(t[0].rows, t[0].cols, tuple(t[1] * x for x in t[0].entries))
+    )
+
+
+# Named examples, one per branch of the modular route: projecting onto the
+# Bareiss pivot rows would give [2, 2] for the first; then tall matrices
+# with a gcd row merge and with a column zero mod D; a gcd column merge;
+# column merges that refill the pivot column; D = 1, square and tall; and
+# the zero matrix.
+@given(st.one_of(matrices(), shaped_matrices(), scaled_matrices()))
 @example(IntMatrix.zero(0, 0))
 @example(IntMatrix.zero(0, 3))
 @example(IntMatrix.zero(3, 0))
-@settings(max_examples=200)
+@example(IntMatrix.from_rows([[2, 0], [0, 2], [1, 1]]))
+@example(IntMatrix.from_rows([[36], [18], [-24]]))
+@example(IntMatrix.from_rows([[2], [-3]]))
+@example(IntMatrix.from_rows([[-24, -12, 6]]))
+@example(IntMatrix.from_rows([[8, -18, -17, -6, -1], [-8, 15, -9, -8, 16], [-8, 3, 14, -7, -12]]))
+@example(IntMatrix.from_rows([[2, 1], [1, 1]]))
+@example(IntMatrix.from_rows([[1, 0], [0, 1], [0, 0]]))
+@example(IntMatrix.zero(3, 2))
+@settings(max_examples=600)
 def test_invariant_factors_match_smith_diagonal(m):
     assert invariant_factors(m) == smith_normal_form(m)[1].diagonal()
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_invariant_factors_of_family_grams(k):
+    gram = milnor_lattice(milnor_family(k)).gram
+    assert invariant_factors(gram) == smith_normal_form(gram)[1].diagonal()
 
 
 @given(shaped_matrices())
