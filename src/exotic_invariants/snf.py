@@ -202,7 +202,8 @@ def invariant_factors(M: IntMatrix) -> list:
 def _diagonal_gcds(a, D) -> list:
     """gcd(s, D) for each diagonal entry s of the rows `a` diagonalised over
     Z/DZ, omitting those equal to 1, and D for each row left without a
-    pivot.  `a` is consumed.
+    pivot.  `a` is consumed; it has a row and a column, since D > 1 needs
+    rank at least 1.
 
     Column by column: the pivot row is the first row whose entry in the
     column is a unit mod D, or failing one, the row whose entry has the
@@ -222,7 +223,7 @@ def _diagonal_gcds(a, D) -> list:
     """
     half = D >> 1
     out = []
-    for _ in range(len(a[0]) if a else 0):
+    for _ in range(len(a[0])):
         while a:
             piv, g = None, D
             for i, row in enumerate(a):

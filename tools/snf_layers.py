@@ -1,12 +1,12 @@
 """Time `snf.invariant_factors` against the Bareiss elimination it starts from.
 
-    PYTHONPATH=src python3 tools/snf_layers.py [--repeats 3] [--k 6 10 14 18 22 28]
+    PYTHONPATH=src python3 tools/snf_layers.py [--k 6 10 14 18 22 28]
 
 Inputs: one 80x80 matrix with entries uniform in [-20, 20]
 (random.Random(80)), and the paper-rule family grams of
 `milnor_lattice(milnor_family(k))`.  For each it prints one JSON line: the
 shape, the rank, the bit length of the pivot minor D, the best wall time of
-`invariant_factors` and of `_bareiss` over the repeats (unscaled seconds),
+`invariant_factors` and of `_bareiss` over REPEATS runs (unscaled seconds),
 and their ratio, all measured in the one process that runs it.  Set
 PYTHONPATH to another checkout's src/ to time that one.
 """
@@ -20,12 +20,14 @@ from time import perf_counter
 
 from exotic_invariants import brieskorn, snf
 
+REPEATS = 3
 
-def best_seconds(fns, repeats: int) -> list:
-    """The best wall time of each function over the repeats, taken in
+
+def best_seconds(fns) -> list:
+    """The best wall time of each function over REPEATS runs, taken in
     turn so that a change of host speed reaches all of them alike."""
     best = [float("inf")] * len(fns)
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         for i, fn in enumerate(fns):
             t0 = perf_counter()
             fn()
@@ -33,10 +35,10 @@ def best_seconds(fns, repeats: int) -> list:
     return best
 
 
-def row(label: str, M, repeats: int) -> dict:
+def row(label: str, M) -> dict:
     r, d = snf._bareiss(M)
     factors_s, bareiss_s = best_seconds(
-        [lambda: snf.invariant_factors(M), lambda: snf._bareiss(M)], repeats
+        [lambda: snf.invariant_factors(M), lambda: snf._bareiss(M)]
     )
     return {
         "input": label,
@@ -51,17 +53,16 @@ def row(label: str, M, repeats: int) -> dict:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--k", type=int, nargs="*", default=[6, 10, 14, 18, 22, 28])
     args = parser.parse_args(argv)
     rng = random.Random(80)
     dense = snf.IntMatrix.from_rows(
         [[rng.randint(-20, 20) for _ in range(80)] for _ in range(80)]
     )
-    print(json.dumps(row("dense 80x80", dense, args.repeats)), flush=True)
+    print(json.dumps(row("dense 80x80", dense)), flush=True)
     for k in args.k:
         gram = brieskorn.milnor_lattice(brieskorn.milnor_family(k)).gram
-        print(json.dumps(row(f"family gram k={k}", gram, args.repeats)), flush=True)
+        print(json.dumps(row(f"family gram k={k}", gram)), flush=True)
 
 
 if __name__ == "__main__":
