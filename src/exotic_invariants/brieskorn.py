@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product, starmap
 from math import comb, lcm
+from operator import gt, is_not
 
 from .errors import InvalidArgument, OutOfFamily
 from .snf import IntMatrix
@@ -54,6 +55,13 @@ def _bp_order(m: int) -> int:
 BP8_ORDER = _bp_order(2)
 FAMILY_RANGE = range(1, BP8_ORDER + 1)
 
+# Most entries `milnor_lattice` (mu^2 gram entries) and `spectrum` (mu
+# values) build; both refuse larger requests before allocating.  A --json
+# request peaked at about 28 bytes per gram entry (mu 686 and 1000) and at
+# up to about 260 bytes per spectrum value (mu 34,560, all values
+# distinct), so a request at the limit stays near 1 GB.
+MAX_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class BrieskornPham:
@@ -88,7 +96,7 @@ class MilnorLattice:
         n = len(self.index_set)
         if self.gram.rows != n or self.gram.cols != n:
             raise InvalidArgument("gram matrix must be square of the basis size")
-        if any(self.gram[i, i] != 2 for i in range(n)):
+        if self.gram.diagonal().count(2) != n:
             raise InvalidArgument("vanishing cycles have self-intersection 2")
 
     @property
@@ -103,7 +111,10 @@ class Spectrum:
     values: tuple
 
     def __post_init__(self):
-        if any(self.values[i] > self.values[i + 1] for i in range(len(self.values) - 1)):
+        # A run of one repeated object is sorted, so only adjacent values
+        # that are different objects are compared.
+        v = self.values
+        if any(starmap(gt, compress(zip(v, v[1:]), map(is_not, v, v[1:])))):
             raise InvalidArgument("spectrum values must be sorted")
 
     @property
@@ -125,6 +136,14 @@ def milnor_number(bp: BrieskornPham) -> int:
     for a in bp.exponents:
         mu *= a - 1
     return mu
+
+
+def _check_size(bp: BrieskornPham, what: str, entries: int) -> None:
+    """Refuse a request for more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise InvalidArgument(
+            f"the {what} of {bp} has {entries} entries, above the limit of {MAX_ENTRIES}"
+        )
 
 
 def a_lattice(n: int) -> IntMatrix:
@@ -150,11 +169,13 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     the pairing is (-1)^|e| * 2^(n - |e|).  Each index walks the steps
     that stay inside the index box, a mixed-radix stride giving the
     column offset of each, and every entry is set with its mirror; the
-    diagonal is 2 and all other entries are 0.
+    diagonal is 2 and all other entries are 0.  Refuses, with
+    InvalidArgument, a lattice of more than MAX_ENTRIES gram entries.
 
     >>> milnor_lattice(BrieskornPham.of(3, 2)).gram.to_lists()
     [[2, -2], [-2, 2]]
     """
+    _check_size(bp, "milnor lattice", milnor_number(bp) ** 2)
     exps = bp.exponents
     n = len(exps)
     index_set = tuple(product(*(range(1, a) for a in exps)))
@@ -189,10 +210,12 @@ def spectrum(bp: BrieskornPham) -> Spectrum:
     With (ell, w) from weights_and_degree, every weight is the integer
     numerator sum(w_i * (k_i + 1)) over ell; the numerators are sorted as
     integers and one Fraction is made for each distinct numerator.
+    Refuses, with InvalidArgument, more than MAX_ENTRIES values.
 
     >>> [str(v) for v in spectrum(BrieskornPham.of(3, 3)).values]
     ['2/3', '1', '1', '4/3']
     """
+    _check_size(bp, "spectrum", milnor_number(bp))
     ell, weights = weights_and_degree(bp)
     nums = [0]
     for a, w in zip(bp.exponents, weights):

@@ -92,7 +92,10 @@ def _emit(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         kinds = set(map(type, value))
         if kinds == {int}:
-            parts += ("[", inner, ("," + inner).join(map(str, value)), newline, "]")
+            # An exact int's repr is its str, so the list's repr holds the
+            # items already written; only the separators change.
+            text = str(value)[1:-1].replace(", ", "," + inner)
+            parts += ("[", inner, text, newline, "]")
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
             parts += ("[", inner, ("," + inner).join(items), newline, "]")
@@ -142,6 +145,19 @@ def weighted_type_json(bp: bk.BrieskornPham) -> dict:
         "type": kind.value,
         "gorenstein": rational_str(gorenstein),
     }
+
+
+def spectrum_json(bp: bk.BrieskornPham) -> list:
+    """The spectrum of bp as rational strings.  `spectrum` makes one
+    Fraction per distinct value, so each run of one repeated object is
+    formatted once."""
+    texts = []
+    last = text = None
+    for value in bk.spectrum(bp).values:
+        if value is not last:
+            last, text = value, rational_str(value)
+        texts.append(text)
+    return texts
 
 
 def cmd_milnor(args) -> dict:
@@ -208,7 +224,7 @@ def cmd_brieskorn(args) -> dict:
         "sphere_link_family": bk.in_sphere_link_family(bp),
     }
     if args.spectrum:
-        values = [rational_str(v) for v in bk.spectrum(bp).values]
+        values = spectrum_json(bp)
         payload["spectrum"] = values
         payload["spectrum_min"] = values[0]
     return payload
@@ -248,7 +264,7 @@ def lattice_table(p: dict) -> str:
 
 def cmd_spectrum(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
-    values = [rational_str(v) for v in bk.spectrum(bp).values]
+    values = spectrum_json(bp)
     return {
         "exponents": list(bp.exponents),
         "count": len(values),

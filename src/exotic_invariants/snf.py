@@ -26,7 +26,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
 from operator import mul
 
@@ -48,7 +48,7 @@ class IntMatrix:
             raise InvalidArgument(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(isinstance(e, int) for e in self.entries):
+        if not all(map(isinstance, self.entries, repeat(int))):
             raise InvalidArgument("entries must be integers")
 
     @classmethod

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exotic_invariants import brieskorn
 from exotic_invariants.brieskorn import (
+    BP8_ORDER,
     BrieskornPham,
     CanonicalType,
     a_lattice,
@@ -138,6 +140,28 @@ def test_spectrum_properties(exps):
 @settings(max_examples=60)
 def test_spectrum_matches_fraction_sum_oracle(exps):
     assert spectrum(BrieskornPham(exps)).values == fraction_sum_spectrum(exps)
+
+
+def test_size_guard_refuses_before_allocating(monkeypatch):
+    # The guard is tested with a low limit; nothing of the refused size is built.
+    monkeypatch.setattr(brieskorn, "MAX_ENTRIES", 16)
+    assert milnor_lattice(BrieskornPham.of(3, 3)).rank == 4  # 16 entries
+    assert len(spectrum(BrieskornPham.of(5, 5))) == 16
+    monkeypatch.setattr(brieskorn, "MAX_ENTRIES", 15)
+    with pytest.raises(InvalidArgument):
+        spectrum(BrieskornPham.of(5, 5))
+    with pytest.raises(InvalidArgument):
+        milnor_lattice(BrieskornPham.of(3, 3))
+    monkeypatch.setattr(brieskorn, "product", None)  # the lattice's first allocation
+    with pytest.raises(InvalidArgument, match=r"milnor lattice of \(4,3\) has 36 entries"):
+        milnor_lattice(BrieskornPham.of(4, 3))
+    monkeypatch.setattr(brieskorn, "weights_and_degree", None)  # runs before the spectrum's
+    with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
+        spectrum(BrieskornPham.of(5, 6))
+
+
+def test_size_limit_admits_the_family_lattices():
+    assert milnor_number(milnor_family(BP8_ORDER)) ** 2 <= brieskorn.MAX_ENTRIES
 
 
 def test_weights_examples():

@@ -1,4 +1,5 @@
 import argparse
+import enum
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from exotic_invariants import brieskorn as bk
 from exotic_invariants import cli
 from exotic_invariants.cli import canonical_json, run
 from oracles import canonical_json_oracle
@@ -31,6 +33,10 @@ COMMANDS = [
     ["kunneth", "--m", "3", "--k", "3"],
     ["family-report", "--start", "1", "--end", "3"],
 ]
+
+
+class Exponent(enum.IntEnum):
+    TWO = 2
 
 
 def run_json(capsys, argv):
@@ -205,18 +211,49 @@ JSON_VALUES = st.recursive(
 @example({"bits": [True, False], "mixed": [1, True, 0, False], "none": None})
 @example({"big": [10**100, -(10**100)], "one": 10**100})
 @example({'"\\\x00\u00e9\U0001d11e': '\x1f"\\\u2028'})
+@example({"gram": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], "zeros": [0] * 40})
+@example({"x": [1, True], "y": [[2, 0], [0, True]], "z": [[2, 0], [0, 1]]})
+@example({"big": [10**100, 10**100, -(10**100), -(10**100), 10**100]})
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == canonical_json_oracle(payload)
 
 
 @pytest.mark.parametrize(
     "payload",
-    [{"x": 1.0}, {"x": [1, 2.5]}, {"x": (1, 2)}, {"x": {1}}, {1: "x"}, {"x": {"y": {None: 1}}}],
-    ids=["float", "float in list", "tuple", "set", "int key", "None key"],
+    [
+        {"x": 1.0},
+        {"x": [1, 2.5]},
+        {"x": (1, 2)},
+        {"x": {1}},
+        {1: "x"},
+        {"x": {"y": {None: 1}}},
+        {"x": [1, Exponent.TWO, 3]},
+    ],
+    ids=["float", "float in list", "tuple", "set", "int key", "None key", "IntEnum in int list"],
 )
 def test_canonical_json_rejects_non_canonical_values(payload):
     with pytest.raises(TypeError):
         canonical_json(payload)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lattice", "167", "3", "2", "2", "2"], ["brieskorn", "7", "9", "3", "11", "8", "--spectrum"]],
+    ids=" ".join,
+)
+def test_large_payloads_match_json_dumps(capsys, argv):
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    assert out == canonical_json_oracle(json.loads(out)) + "\n"
+
+
+def test_oversized_requests_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(bk, "MAX_ENTRIES", 16)
+    for argv in (["lattice", "4", "3"], ["spectrum", "5", "6"], ["brieskorn", "5", "6", "--spectrum"]):
+        assert run(argv + ["--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the ") and err.count("\n") == 1
+    assert run(["brieskorn", "5", "6", "--json"]) == 0
 
 
 def test_build_parser_returns_one_shared_parser():

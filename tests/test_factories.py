@@ -63,6 +63,8 @@ def test_bools_pass_as_integers():
     assert theta7(True).residue == 1
 
 
+HALF = Fraction(1, 2)
+
 REJECTED = {
     "IntMatrix negative rows": (lambda: IntMatrix(-1, 0, ()), InvalidArgument),
     "IntMatrix index out of range": (lambda: IntMatrix.identity(2)[2, 0], IndexError),
@@ -76,10 +78,19 @@ REJECTED = {
         lambda: MilnorLattice(((0,),), IntMatrix.from_diagonal([1])),
         InvalidArgument,
     ),
+    "MilnorLattice diagonal last": (
+        lambda: MilnorLattice(((0,), (1,)), IntMatrix.from_diagonal([2, 1])),
+        InvalidArgument,
+    ),
     "Spectrum unsorted": (
         lambda: Spectrum((Fraction(1, 2), Fraction(1, 3))),
         InvalidArgument,
     ),
+    "Spectrum unsorted after a run of one object": (
+        lambda: Spectrum((HALF, HALF, HALF, Fraction(1, 3))),
+        InvalidArgument,
+    ),
+    "IntMatrix float last": (lambda: IntMatrix(1, 3, (1, 2, 3.0)), InvalidArgument),
     "Theta7Element residue": (lambda: Theta7Element(28), InvalidArgument),
     "de_sapio_steps configs": (
         lambda: de_sapio_steps(theta7(0), theta7(1, GroupConfig(order=7)), theta7(2)),
@@ -93,6 +104,13 @@ REJECTED = {
 def test_invalid_arguments_are_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_bool_entries_and_equal_distinct_spectrum_values_pass():
+    assert IntMatrix(1, 2, (True, False)).entries == (True, False)
+    a, b = Fraction(1, 2), Fraction(1, 2)
+    assert a is not b
+    assert Spectrum((a, b, Fraction(2, 3))).values == (HALF, HALF, Fraction(2, 3))
 
 
 def test_empty_matrix_determinant_is_one():
