@@ -166,7 +166,8 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     single-variable pairing is nonzero only between equal or adjacent
     indices, so under the rule above i pairs nontrivially with j != i
     only when j = i + e for a nonzero step vector e in {0, 1}^n, and then
-    the pairing is (-1)^|e| * 2^(n - |e|).  Each index walks the steps
+    the pairing is (-1)^|e| * 2^(n - |e|); e is 0 on every factor with
+    a = 2, whose one index cannot step.  Each index walks the steps
     that stay inside the index box, a mixed-radix stride giving the
     column offset of each, and every entry is set with its mirror; the
     diagonal is 2 and all other entries are 0.  Refuses, with
@@ -183,18 +184,22 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     strides = [1] * n
     for m in range(n - 2, -1, -1):
         strides[m] = strides[m + 1] * (exps[m + 1] - 1)
-    # Step vectors e as bit masks, bit m set when e_m = 1; index i + e lies
-    # offset[e] places after i in lexicographic order.
-    value = [(-1) ** e.bit_count() * 2 ** (n - e.bit_count()) for e in range(1 << n)]
-    offset = [0] * (1 << n)
-    for e in range(1, 1 << n):
-        m = e.bit_length() - 1
-        offset[e] = offset[e ^ (1 << m)] + strides[m]
+    # A factor with a = 2 has the one index 1 and never steps, so step
+    # vectors e are bit masks over the t factors with a > 2 (2^t <= mu), bit
+    # j set when e steps in factor steppers[j]; index i + e lies offset[e]
+    # places after i in lexicographic order.
+    steppers = [m for m in range(n) if exps[m] > 2]
+    t = len(steppers)
+    value = [(-1) ** e.bit_count() * 2 ** (n - e.bit_count()) for e in range(1 << t)]
+    offset = [0] * (1 << t)
+    for e in range(1, 1 << t):
+        j = e.bit_length() - 1
+        offset[e] = offset[e ^ (1 << j)] + strides[steppers[j]]
     flat = [0] * (size * size)
     flat[:: size + 1] = [2] * size
     for r, idx in enumerate(index_set):
         # The steps that stay in the box are the nonzero sub-masks of `free`.
-        free = sum(1 << m for m in range(n) if idx[m] < exps[m] - 1)
+        free = sum(1 << j for j, m in enumerate(steppers) if idx[m] < exps[m] - 1)
         e = free
         while e:
             s = r + offset[e]

@@ -13,12 +13,14 @@ module when each request arrives, with <name> the subcommand's name with
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
+When the reader closes stdout early, `main` exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -583,7 +585,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; point it at devnull so that the
+        # flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,6 +7,8 @@ diamond satisfies it.  A diamond is admissible when each antidiagonal
 sum equals the Betti number of its degree: b0 = b1 = b7 = b8 = 1 with
 b4 = 1 exactly in the nonunit branch (Euler class k != +-1), all other
 degrees zero.  The paper's further constraints follow from these sums.
+The admissible diamonds are built in closed form from the Betti numbers;
+the tests check them against an exhaustive enumeration of 0/1 diamonds.
 """
 
 from __future__ import annotations
@@ -149,29 +151,24 @@ def ddbar_constraints_check(d: HodgeDiamond, k: int):
 def enumerate_admissible_diamonds(branch: str) -> list:
     """Every Serre-symmetric diamond passing the branch constraints.
 
-    One free cell per Serre pair (p,q) ~ (4-p,4-q), taken as the smaller of
-    the two in row-major order, and each cell is bounded by the Betti number
-    of its antidiagonal; candidates run as a product over the cells.
+    Both Betti vectors are 0/1 and palindromic, so every cell is 0 or 1:
+    for each antidiagonal r <= 4 with b_r = 1 one cell (p, r-p) is 1, with
+    its Serre partner (4-p, 4-r+p).  Any of the r+1 cells may be chosen
+    below the middle; there an off-centre pair would add 2, so only (2, 2).
+    The diamonds are the product of these choices, cells by descending p.
 
     >>> len(enumerate_admissible_diamonds(UNIT)), len(enumerate_admissible_diamonds(NONUNIT))
     (2, 2)
     """
     betti = betti_vector(branch)
-    k = 1 if branch == UNIT else 0  # any Euler class selecting the branch
-    cells = [
-        (p, q)
-        for p in range(DIM + 1)
-        for q in range(DIM + 1)
-        if (p, q) <= (DIM - p, DIM - q)
+    choices = [
+        [(DIM // 2, DIM // 2)] if r == DIM else [(p, r - p) for p in range(r, -1, -1)]
+        for r in range(DIM + 1)
+        if betti[r]
     ]
-    # Both Betti vectors are palindromic (Poincare duality), so betti[p+q]
-    # is also the bound of the partner cell's antidiagonal.
-    out = []
-    for values in product(*(range(betti[p + q] + 1) for p, q in cells)):
-        grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
-        for (p, q), value in zip(cells, values):
-            grid[p][q] = grid[DIM - p][DIM - q] = value
-        candidate = HodgeDiamond(tuple(tuple(r) for r in grid))
-        if ddbar_constraints_check(candidate, k)[0]:
-            out.append(candidate)
-    return out
+    return [
+        HodgeDiamond.from_entries(
+            {cell: 1 for p, q in cells for cell in ((p, q), (DIM - p, DIM - q))}
+        )
+        for cells in product(*choices)
+    ]

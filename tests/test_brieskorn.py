@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exotic_invariants import brieskorn
@@ -96,6 +96,9 @@ def test_lattice_shape_properties(exps):
 
 @given(exponent_vectors)
 @settings(max_examples=25)
+@example((2,) * 40)
+@example((2,) * 30 + (3,))
+@example((2, 3, 2, 2, 4, 2))
 def test_lattice_gram_matches_pairwise_oracle(exps):
     assert milnor_lattice(BrieskornPham(exps)).gram.to_lists() == paper_rule_gram(exps)
 

@@ -2,6 +2,7 @@ import argparse
 import enum
 import json
 import os
+import shlex
 import subprocess
 import sys
 from math import gcd
@@ -334,3 +335,38 @@ def test_module_entry_point_exit_status(argv, code, stderr_lines):
     assert len(lines) == stderr_lines
     assert all(line.startswith("error: ") for line in lines)
     assert bool(proc.stdout) == (code == 0)
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    """The reader closes the pipe after a few bytes of a lattice payload of
+    about 1 MB, more than a pipe buffer holds, so the CLI's writes fail."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ["lattice", "167", "3", "2", "2", "2", "--json"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "exotic_invariants.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(16)
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert stderr == ""  # no traceback, no error line
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+README_EXAMPLES = [
+    shlex.split(line, comments=True)
+    for line in README.read_text().splitlines()
+    if line.startswith("exotic-invariants ")
+]
+
+
+def test_readme_lists_cli_examples():
+    assert len(README_EXAMPLES) == 13
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=shlex.join)
+def test_readme_cli_examples_exit_zero(capsys, argv):
+    assert run(argv[1:]) == 0, capsys.readouterr().err
