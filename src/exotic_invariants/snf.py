@@ -4,16 +4,19 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form intermediates can blow up far past 64 bits even for small inputs, so
 no fixed-width array library is used.
 
-Three elimination loops serve four jobs.  A fraction-free (Bareiss) row
+Four elimination loops serve four jobs.  A fraction-free (Bareiss) row
 elimination gives `rank`, which kernels need, `determinant`, and the
 pivot minor D that `invariant_factors` works modulo: one pass per column
-over Z/DZ gives the Smith diagonal alone, all that cokernels need.  The
-smallest-pivot Smith elimination serves `smith_normal_form` only, run on
-M bordered by identity blocks, I_m to the right and I_n below, so the
-row operations build U in the right border and the column operations
-build V in the bottom one.  The borders are where the integers grow;
-call it only when U or V is needed.  Its diagonal is the tests' oracle
-for `invariant_factors`.
+over Z/DZ gives the Smith diagonal alone, all that cokernels need.
+`smith_normal_form` runs the other two on M bordered by identity blocks:
+a row Hermite pass on [M | I_m], then the smallest-pivot Smith
+elimination with I_n appended below, so row operations build U in the
+right border and column operations build V in the bottom one.  The
+Hermite pass fixes U at H M^-1 for a nonsingular M, which keeps the
+transforms near Hadamard size; the Smith elimination alone let them
+grow with every pivot.  Building U and V still costs the most, so call
+it only when they are needed.  Its diagonal is the tests' oracle for
+`invariant_factors`.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -164,6 +167,55 @@ def _eliminate(a, nrows, ncols) -> None:
             t += 1
 
 
+def _hermite(a, nrows, ncols) -> None:
+    """Reduce the top-left nrows x ncols block of the rows `a` in place to
+    row Hermite form, by row operations only.
+
+    Column by column, the smallest-magnitude nonzero entry at or below the
+    pivot row moves to the pivot row and is made positive, and the rows
+    below give up nearest-integer multiples of it until the column below
+    the pivot is zero.  Then, from the last pivot row up, each entry above
+    a pivot p is reduced to [0, p) by a floor multiple of the pivot row.
+    For a nonsingular M this fixes the row transform at H M^-1, near
+    Hadamard size (Kannan-Bachem, SIAM J. Comput. 1979), where the Smith
+    elimination alone lets it grow with every pivot.  Reducing bottom-up
+    meets only pivot rows already reduced, which keeps a row under about
+    twice the bit length of H's entries; reducing each column as its
+    pivot is found let the rows above reach ten times it.  Rows at or past
+    the pivot row are zero before its column, so row operations start
+    there.
+    """
+    pivots = []
+    for c in range(ncols):
+        t = len(pivots)
+        if t == nrows:
+            break
+        live = [i for i in range(t, nrows) if a[i][c]]
+        if not live:
+            continue
+        while True:
+            i = min(live, key=lambda i: abs(a[i][c]))
+            a[t], a[i] = a[i], a[t]
+            top = a[t]
+            if top[c] < 0:
+                top[c:] = [-x for x in top[c:]]
+            if len(live) == 1:
+                break
+            p, head, half = top[c], top[c:], top[c] >> 1
+            for r in a[t + 1 : nrows]:
+                q = (r[c] + half) // p
+                if q:
+                    r[c:] = [x - q * y for x, y in zip(r[c:], head)]
+            live = [i for i in range(t, nrows) if a[i][c]]
+        pivots.append((top, c))
+    for k in range(len(pivots) - 2, -1, -1):
+        r = pivots[k][0]
+        for top, c in pivots[k + 1 :]:
+            q = r[c] // top[c]
+            if q:
+                r[c:] = [x - q * y for x, y in zip(r[c:], top[c:])]
+
+
 def _min_pivot(a, t, nrows, ncols):
     """Position of the first smallest-magnitude nonzero entry of the block
     rows t..nrows-1, columns t..ncols-1 in row-major order, or None if that
@@ -309,11 +361,13 @@ def smith_normal_form(M: IntMatrix):
 
     U and V are square and unimodular (determinant +-1), and D is diagonal
     with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .  The
-    elimination runs on the bordered rows [[M, I_m], [I_n]]: D is read from
+    rows [M | I_m] are first brought to row Hermite form by `_hermite`,
+    then `_eliminate` runs on them with I_n appended below: D is read from
     the top-left block, U from the top-right one and V from the rows below.
     """
     m, n = M.rows, M.cols
     a = [r + e for r, e in zip(M.to_lists(), IntMatrix.identity(m).to_lists())]
+    _hermite(a, m, n)
     a += IntMatrix.identity(n).to_lists()
     _eliminate(a, m, n)
     flat = chain.from_iterable

@@ -1,3 +1,6 @@
+import random
+from math import isqrt, prod
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -43,6 +46,15 @@ def shaped_matrices(max_dim=6):
     return st.one_of(dense, thin, zero)
 
 
+def scaled_matrices():
+    """Shaped matrices with every entry times a common factor c >= 2.  Then
+    c divides the pivot minor D and every entry, so no entry is a unit mod D
+    and every column of `invariant_factors` takes the gcd route."""
+    return st.tuples(shaped_matrices(), st.integers(2, 12)).map(
+        lambda t: IntMatrix(t[0].rows, t[0].cols, tuple(t[1] * x for x in t[0].entries))
+    )
+
+
 def is_divisibility_chain(diag):
     nonzero = [d for d in diag if d != 0]
     return all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1)) and all(
@@ -70,7 +82,10 @@ def test_worked_example():
     assert d.diagonal() == [2, 4]
 
 
-@given(matrices())
+@given(st.one_of(matrices(), shaped_matrices(), scaled_matrices()))
+@example(IntMatrix.zero(0, 0))
+@example(IntMatrix.zero(0, 3))
+@example(IntMatrix.zero(3, 0))
 @settings(max_examples=200)
 def test_snf_roundtrip(m):
     u, d, v = smith_normal_form(m)
@@ -116,15 +131,6 @@ def test_determinant_zero_pivots(rows, det, rk):
 @settings(max_examples=100)
 def test_rank_bounded(m):
     assert 0 <= rank(m) <= min(m.rows, m.cols)
-
-
-def scaled_matrices():
-    """Shaped matrices with every entry times a common factor c >= 2.  Then
-    c divides the pivot minor D and every entry, so no entry is a unit mod D
-    and every column of `invariant_factors` takes the gcd route."""
-    return st.tuples(shaped_matrices(), st.integers(2, 12)).map(
-        lambda t: IntMatrix(t[0].rows, t[0].cols, tuple(t[1] * x for x in t[0].entries))
-    )
 
 
 # Named examples, one per branch of the modular route: projecting onto the
@@ -188,14 +194,32 @@ def test_empty_shapes():
 
 
 def test_transforms_are_pinned():
-    # The pivot rule fixes U and V, not just D; callers may rely on them.
+    # The Hermite pass and the pivot rule fix U and V, not just D; callers
+    # may rely on them.
     m = IntMatrix.from_rows([[4, 7, -2, 0], [6, 3, 5, 9], [-8, 2, 10, 6]])
     u, d, v = smith_normal_form(m)
-    assert u.to_lists() == [[-1, 0, 0], [19, -1, 1], [-72, 6, -5]]
+    assert u.to_lists() == [[-1, 2, 1], [-5, 9, 4], [1712, -3082, -1369]]
     assert d.diagonal() == [1, 1, 4] and d.is_diagonal()
     assert v.to_lists() == [
-        [0, 2, 36, 105], [1, 0, -2, -6], [4, 4, 65, 189], [0, -3, -59, -173]
+        [0, -47, -40, 105], [1, -22, 2, -6], [0, 1, -71, 189], [0, 0, 65, -173]
     ]
+
+
+def hadamard_bits(m) -> int:
+    """Bit length of Hadamard's bound on |det M|, the product of the row norms."""
+    return (isqrt(prod(sum(x * x for x in m.row(i)) for i in range(m.rows))) + 1).bit_length()
+
+
+def test_transforms_stay_near_hadamard_size():
+    # The Hermite row pass fixes U = H M^-1 for nonsingular M; the Smith
+    # elimination alone let U and V reach 26 times these bounds.
+    rng = random.Random(15)
+    for n, bound in [(12, 20), (24, 20), (40, 20), (10, 10**12)]:
+        m = IntMatrix(n, n, tuple(rng.randint(-bound, bound) for _ in range(n * n)))
+        u, d, v = smith_normal_form(m)
+        assert u @ m @ v == d
+        transform_bits = max(abs(x).bit_length() for x in u.entries + v.entries)
+        assert transform_bits <= 3 * hadamard_bits(m)
 
 
 def test_transpose_and_matmul_shapes():

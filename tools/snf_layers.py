@@ -7,8 +7,10 @@ Inputs: one 80x80 matrix with entries uniform in [-20, 20]
 `milnor_lattice(milnor_family(k))`.  For each it prints one JSON line: the
 shape, the rank, the bit length of the pivot minor D, the best wall time of
 `invariant_factors` and of `_bareiss` over REPEATS runs (unscaled seconds),
-and their ratio, all measured in the one process that runs it.  Set
-PYTHONPATH to another checkout's src/ to time that one.
+and their ratio, all measured in the one process that runs it.  The dense
+line also gives the best wall time of `smith_normal_form` and the largest
+bit length of an entry of its transforms U and V.  Set PYTHONPATH to
+another checkout's src/ to time that one.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ def main(argv=None) -> None:
     dense = snf.IntMatrix.from_rows(
         [[rng.randint(-20, 20) for _ in range(80)] for _ in range(80)]
     )
-    print(json.dumps(row("dense 80x80", dense)), flush=True)
+    line = row("dense 80x80", dense)
+    [snf_s] = best_seconds([lambda: snf.smith_normal_form(dense)])
+    line["smith_normal_form_s"] = round(snf_s, 4)
+    U, _, V = snf.smith_normal_form(dense)
+    line["transform_bits"] = max(abs(x).bit_length() for x in U.entries + V.entries)
+    print(json.dumps(line), flush=True)
     for k in args.k:
         gram = brieskorn.milnor_lattice(brieskorn.milnor_family(k)).gram
         print(json.dumps(row(f"family gram k={k}", gram)), flush=True)
