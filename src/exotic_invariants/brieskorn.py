@@ -20,7 +20,7 @@ from math import comb, lcm
 from operator import gt, is_not
 
 from .errors import InvalidArgument, OutOfFamily
-from .snf import IntMatrix
+from .snf import IntMatrix, _trusted
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -106,7 +106,12 @@ class MilnorLattice:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sorted multiset of rational singularity exponents."""
+    """Sorted multiset of rational singularity exponents.
+
+    `Spectrum(...)` checks that the values are sorted; `spectrum` makes
+    its value through `snf._trusted` without the check, since it sorted
+    the integer numerators itself.
+    """
 
     values: tuple
 
@@ -205,20 +210,37 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
             s = r + offset[e]
             flat[r * size + s] = flat[s * size + r] = value[e]
             e = (e - 1) & free
-    return MilnorLattice(index_set, IntMatrix(size, size, tuple(flat)))
+    return MilnorLattice(index_set, _trusted(IntMatrix, size, size, tuple(flat)))
 
 
 def spectrum(bp: BrieskornPham) -> Spectrum:
     """Multiset of weights sum((k_i + 1) / a_i) over the monomial basis.
 
     The least element is sum(1 / a_i), attained at the constant monomial.
-    With (ell, w) from weights_and_degree, every weight is the integer
-    numerator sum(w_i * (k_i + 1)) over ell; the numerators are sorted as
-    integers and one Fraction is made for each distinct numerator.
-    Refuses, with InvalidArgument, more than MAX_ENTRIES values.
+    The values are the sorted numerators of `spectrum_numerators` over
+    their common denominator ell, with one Fraction shared by all equal
+    numerators.  Refuses, with InvalidArgument, more than MAX_ENTRIES
+    values.
 
     >>> [str(v) for v in spectrum(BrieskornPham.of(3, 3)).values]
     ['2/3', '1', '1', '4/3']
+    """
+    ell, nums = spectrum_numerators(bp)
+    frac = {x: Fraction(x, ell) for x in set(nums)}
+    return _trusted(Spectrum, tuple(map(frac.__getitem__, nums)))
+
+
+def spectrum_numerators(bp: BrieskornPham):
+    """(ell, nums): the spectrum of bp as integer numerators over one
+    denominator.
+
+    With (ell, w) from weights_and_degree, the weight of the monomial
+    with exponents k_i is sum(w_i * (k_i + 1)) / ell; nums lists these
+    numerators sorted, one per basis monomial.  Refuses, with
+    InvalidArgument, more than MAX_ENTRIES values, before computing any.
+
+    >>> spectrum_numerators(BrieskornPham.of(3, 3))
+    (3, [2, 3, 3, 4])
     """
     _check_size(bp, "spectrum", milnor_number(bp))
     ell, weights = weights_and_degree(bp)
@@ -226,8 +248,7 @@ def spectrum(bp: BrieskornPham) -> Spectrum:
     for a, w in zip(bp.exponents, weights):
         nums = [x + w * k for k in range(1, a) for x in nums]
     nums.sort()
-    frac = {x: Fraction(x, ell) for x in set(nums)}
-    return Spectrum(tuple(map(frac.__getitem__, nums)))
+    return ell, nums
 
 
 def weights_and_degree(bp: BrieskornPham):

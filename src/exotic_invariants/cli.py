@@ -24,6 +24,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from . import brieskorn as bk
 from . import groups as gr
@@ -150,14 +151,17 @@ def weighted_type_json(bp: bk.BrieskornPham) -> dict:
 
 
 def spectrum_json(bp: bk.BrieskornPham) -> list:
-    """The spectrum of bp as rational strings.  `spectrum` makes one
-    Fraction per distinct value, so each run of one repeated object is
-    formatted once."""
+    """The spectrum of bp as rational strings, written from its sorted
+    integer numerators: x over ell in lowest terms is x // g over ell // g
+    with g = gcd(x, ell), as `rational_str` writes the Fraction.  Equal
+    numerators are adjacent, so each run of them is written once."""
+    ell, nums = bk.spectrum_numerators(bp)
     texts = []
     last = text = None
-    for value in bk.spectrum(bp).values:
-        if value is not last:
-            last, text = value, rational_str(value)
+    for x in nums:
+        if x != last:
+            g = gcd(x, ell)
+            last, text = x, f"{x // g}/{ell // g}"
         texts.append(text)
     return texts
 
@@ -219,14 +223,16 @@ def tdual_table(p: dict) -> str:
 
 def cmd_brieskorn(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
+    # The spectrum comes first, so that an oversized one is refused before
+    # any other work.
+    values = spectrum_json(bp) if args.spectrum else None
     payload = {
         "exponents": list(bp.exponents),
         "milnor_number": bk.milnor_number(bp),
         **weighted_type_json(bp),
         "sphere_link_family": bk.in_sphere_link_family(bp),
     }
-    if args.spectrum:
-        values = spectrum_json(bp)
+    if values is not None:
         payload["spectrum"] = values
         payload["spectrum_min"] = values[0]
     return payload

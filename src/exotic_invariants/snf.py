@@ -38,15 +38,24 @@ from .errors import InvalidArgument
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable rows x cols integer matrix stored in row-major order."""
+    """An immutable rows x cols integer matrix stored in row-major order.
+
+    The public constructors check what a caller passes: `IntMatrix(...)`,
+    `from_rows` and `from_diagonal` the shape and that every entry is an
+    int, `identity` and `zero` their dimensions.  Matrices whose entries
+    the library computes itself (those of `identity` and `zero`,
+    `transpose`, `@`, the outputs of `smith_normal_form` and the gram of
+    `brieskorn.milnor_lattice`) are made through `_trusted` without the
+    entry check: those entries are ints by construction, and checking them
+    again took about half the time of a large family lattice.
+    """
 
     rows: int
     cols: int
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise InvalidArgument("matrix dimensions must be nonnegative")
+        _check_dims(self.rows, self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise InvalidArgument(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -64,11 +73,14 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        _check_dims(n, n)
+        entries = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+        return _trusted(cls, n, n, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        _check_dims(rows, cols)
+        return _trusted(cls, rows, cols, (0,) * (rows * cols))
 
     @classmethod
     def from_diagonal(cls, diag) -> "IntMatrix":
@@ -90,7 +102,7 @@ class IntMatrix:
 
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols
-        return IntMatrix(c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
+        return _trusted(IntMatrix, c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -102,7 +114,7 @@ class IntMatrix:
             for i in range(self.rows)
             for col in columns
         )
-        return IntMatrix(self.rows, c, flat)
+        return _trusted(IntMatrix, self.rows, c, flat)
 
     def diagonal(self) -> list:
         return list(self.entries[:: self.cols + 1][: min(self.rows, self.cols)])
@@ -110,6 +122,26 @@ class IntMatrix:
     def is_diagonal(self) -> bool:
         # Off-diagonal entries are all zero when the diagonal holds every nonzero one.
         return sum(map(bool, self.entries)) == sum(map(bool, self.diagonal()))
+
+
+def _check_dims(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise InvalidArgument("matrix dimensions must be nonnegative")
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass `cls` with its fields, in
+    declaration order, set to `values`, made without running
+    `__post_init__`.
+
+    The one route by which the library's own builders make a value that is
+    valid by construction, so that its checks run once, on the inputs it
+    was built from.  Values from a caller go through `cls(...)`, which
+    checks them.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 def _eliminate(a, nrows, ncols) -> None:
@@ -372,9 +404,9 @@ def smith_normal_form(M: IntMatrix):
     _eliminate(a, m, n)
     flat = chain.from_iterable
     return (
-        IntMatrix(m, m, tuple(flat(r[n:] for r in a[:m]))),
-        IntMatrix(m, n, tuple(flat(r[:n] for r in a[:m]))),
-        IntMatrix(n, n, tuple(flat(a[m:]))),
+        _trusted(IntMatrix, m, m, tuple(flat(r[n:] for r in a[:m]))),
+        _trusted(IntMatrix, m, n, tuple(flat(r[:n] for r in a[:m]))),
+        _trusted(IntMatrix, n, n, tuple(flat(a[m:]))),
     )
 
 

@@ -21,6 +21,7 @@ from exotic_invariants.brieskorn import (
     milnor_lattice,
     milnor_number,
     spectrum,
+    spectrum_numerators,
     weights_and_degree,
 )
 from exotic_invariants.errors import InvalidArgument, OutOfFamily
@@ -161,6 +162,8 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(brieskorn, "weights_and_degree", None)  # runs before the spectrum's
     with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
         spectrum(BrieskornPham.of(5, 6))
+    with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
+        spectrum_numerators(BrieskornPham.of(5, 6))
 
 
 def test_size_limit_admits_the_family_lattices():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from exotic_invariants import brieskorn as bk
 from exotic_invariants import cli
-from exotic_invariants.cli import canonical_json, run
-from oracles import canonical_json_oracle
+from exotic_invariants.cli import canonical_json, rational_str, run
+from oracles import canonical_json_oracle, fraction_sum_spectrum
 from test_cli_goldens import SUBCOMMANDS, invoke
 
 COMMANDS = [
@@ -255,6 +255,27 @@ def test_oversized_requests_exit_two(capsys, monkeypatch):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: the ") and err.count("\n") == 1
     assert run(["brieskorn", "5", "6", "--json"]) == 0
+
+
+def test_oversized_spectrum_is_refused_before_other_work(capsys, monkeypatch):
+    monkeypatch.setattr(bk, "MAX_ENTRIES", 16)
+    monkeypatch.setattr(bk, "weights_and_degree", None)  # runs after the guard
+    for argv in (["spectrum", "5", "6", "--json"], ["brieskorn", "5", "6", "--spectrum"]):
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the spectrum of (5,6) has 20 entries, above the limit of 16\n"
+
+
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple))
+def test_spectrum_text_matches_fraction_oracle(exps):
+    texts = cli.spectrum_json(bk.BrieskornPham(exps))
+    assert texts == [rational_str(v) for v in fraction_sum_spectrum(exps)]
+
+
+def test_integer_spectrum_values_are_written_over_one():
+    assert cli.spectrum_json(bk.BrieskornPham.of(3, 3)) == ["2/3", "1/1", "1/1", "4/3"]
+    assert cli.spectrum_json(bk.BrieskornPham.of(2, 2, 2, 2)) == ["2/1"]
 
 
 def test_build_parser_returns_one_shared_parser():

@@ -6,7 +6,15 @@ import exotic_invariants
 
 # Least number of examples each module's doctests must run; a module not
 # listed has no minimum but is still run.
-MIN_TRIED = {"brieskorn": 2, "bundles": 1, "groups": 3, "hodge": 1, "tduality": 1}
+MIN_TRIED = {
+    "abelian": 11,
+    "brieskorn": 5,
+    "bundles": 1,
+    "groups": 3,
+    "hodge": 1,
+    "snf": 7,
+    "tduality": 1,
+}
 
 
 def _doctest_of(name):

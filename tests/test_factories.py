@@ -4,6 +4,8 @@ and every other argument check raises its documented exception."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exotic_invariants.abelian import (
     Z,
@@ -12,7 +14,13 @@ from exotic_invariants.abelian import (
     divisibility_chain,
     sphere_cohomology,
 )
-from exotic_invariants.brieskorn import BrieskornPham, MilnorLattice, Spectrum
+from exotic_invariants.brieskorn import (
+    BrieskornPham,
+    MilnorLattice,
+    Spectrum,
+    milnor_lattice,
+    spectrum,
+)
 from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
 from exotic_invariants.groups import (
@@ -23,7 +31,7 @@ from exotic_invariants.groups import (
     theta7,
 )
 from exotic_invariants.hodge import HodgeDiamond
-from exotic_invariants.snf import IntMatrix, determinant
+from exotic_invariants.snf import IntMatrix, determinant, smith_normal_form
 from exotic_invariants.tduality import FluxedBundle
 
 BUILDERS = {
@@ -68,6 +76,8 @@ HALF = Fraction(1, 2)
 REJECTED = {
     "IntMatrix negative rows": (lambda: IntMatrix(-1, 0, ()), InvalidArgument),
     "IntMatrix index out of range": (lambda: IntMatrix.identity(2)[2, 0], IndexError),
+    "IntMatrix.identity negative": (lambda: IntMatrix.identity(-1), InvalidArgument),
+    "IntMatrix.zero negative cols": (lambda: IntMatrix.zero(2, -1), InvalidArgument),
     "determinant non-square": (lambda: determinant(IntMatrix.zero(2, 3)), InvalidArgument),
     "HodgeDiamond 4x4": (lambda: HodgeDiamond(((0,) * 4,) * 4), InvalidArgument),
     "MilnorLattice gram size": (
@@ -111,6 +121,44 @@ def test_bool_entries_and_equal_distinct_spectrum_values_pass():
     a, b = Fraction(1, 2), Fraction(1, 2)
     assert a is not b
     assert Spectrum((a, b, Fraction(2, 3))).values == (HALF, HALF, Fraction(2, 3))
+
+
+# The library builds these values without its public checks; rebuilding
+# each through its public constructor is the check that they would pass.
+
+
+def _grid(rows, cols):
+    n = rows * cols
+    return st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(
+        lambda e: IntMatrix(rows, cols, tuple(e))
+    )
+
+
+dims = st.integers(0, 4)
+chained_pairs = st.tuples(dims, dims, dims).flatmap(
+    lambda s: st.tuples(_grid(s[0], s[1]), _grid(s[1], s[2]))
+)
+
+
+@given(chained_pairs, dims, dims)
+@settings(max_examples=100)
+def test_library_built_matrices_pass_the_public_checks(pair, n, k):
+    a, b = pair
+    built = [a @ b, a.transpose(), IntMatrix.identity(n), IntMatrix.zero(n, k)]
+    for m in built + list(smith_normal_form(a)):
+        assert IntMatrix(m.rows, m.cols, m.entries) == m
+
+
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple))
+@settings(max_examples=50)
+def test_library_built_lattices_and_spectra_pass_the_public_checks(exps):
+    bp = BrieskornPham(exps)
+    lat = milnor_lattice(bp)
+    g = lat.gram
+    assert IntMatrix(g.rows, g.cols, g.entries) == g
+    assert MilnorLattice(lat.index_set, lat.gram) == lat
+    sp = spectrum(bp)
+    assert Spectrum(sp.values) == sp
 
 
 def test_empty_matrix_determinant_is_one():
