@@ -12,7 +12,7 @@ MIN_TRIED = {
     "bundles": 1,
     "groups": 3,
     "hodge": 1,
-    "snf": 7,
+    "snf": 8,
     "tduality": 1,
 }
 

@@ -69,6 +69,9 @@ def test_bools_pass_as_integers():
     assert FluxedBundle(MilnorBundle(1, 0), True).flux == 1
     assert RepClass(True).exponent == 1
     assert theta7(True).residue == 1
+    assert IntMatrix(True, 2, (1, 2)).to_lists() == [[1, 2]]
+    assert IntMatrix.zero(True, False).rows == 1
+    assert IntMatrix.identity(True).entries == (1,)
 
 
 HALF = Fraction(1, 2)
@@ -78,6 +81,9 @@ REJECTED = {
     "IntMatrix index out of range": (lambda: IntMatrix.identity(2)[2, 0], IndexError),
     "IntMatrix.identity negative": (lambda: IntMatrix.identity(-1), InvalidArgument),
     "IntMatrix.zero negative cols": (lambda: IntMatrix.zero(2, -1), InvalidArgument),
+    "IntMatrix float rows": (lambda: IntMatrix(2.5, 2, (1,) * 5), InvalidArgument),
+    "IntMatrix.zero float rows": (lambda: IntMatrix.zero(2.5, 1), InvalidArgument),
+    "IntMatrix.identity float": (lambda: IntMatrix.identity(1.5), InvalidArgument),
     "determinant non-square": (lambda: determinant(IntMatrix.zero(2, 3)), InvalidArgument),
     "HodgeDiamond 4x4": (lambda: HodgeDiamond(((0,) * 4,) * 4), InvalidArgument),
     "MilnorLattice gram size": (

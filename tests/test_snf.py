@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from exotic_invariants.brieskorn import milnor_family, milnor_lattice
+from exotic_invariants.brieskorn import FAMILY_RANGE, milnor_family, milnor_lattice
 from exotic_invariants.snf import (
     IntMatrix,
     determinant,
@@ -55,6 +55,76 @@ def scaled_matrices():
     )
 
 
+def sparse_grids(rows, cols, bound=20):
+    """rows x cols matrices with about 80% of their entries zero."""
+    entry = st.tuples(st.integers(0, 4), st.integers(-bound, bound)).map(
+        lambda t: 0 if t[0] else t[1]
+    )
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda e: IntMatrix(rows, cols, tuple(e))
+    )
+
+
+def banded_part(m, width):
+    return IntMatrix.from_rows(
+        [[x if abs(i - j) <= width else 0 for j, x in enumerate(r)] for i, r in enumerate(m.to_lists())]
+    )
+
+
+def block_diagonal_rows(a, b):
+    return [r + [0] * b.cols for r in a.to_lists()] + [[0] * a.cols + r for r in b.to_lists()]
+
+
+def zero_lines(m, rows, cols):
+    return IntMatrix.from_rows(
+        [[0 if i in rows or j in cols else x for j, x in enumerate(r)] for i, r in enumerate(m.to_lists())]
+    )
+
+
+def sparse_matrices(max_dim=6, square=False):
+    """Banded, block-diagonal with shuffled rows, about 80% zeros, and
+    dense with zero rows and columns.  Their pivot columns miss rows below
+    the pivot, which the Bareiss pass then rescales lazily when they are
+    next used."""
+    n, half = st.integers(1, max_dim), st.integers(1, max_dim // 2)
+    shapes = n.map(lambda k: (k, k)) if square else st.tuples(n, n)
+    block_shapes = half.map(lambda k: (k, k)) if square else st.tuples(half, half)
+    banded = st.tuples(shapes, st.integers(0, 2)).flatmap(
+        lambda s: grids(*s[0]).map(lambda m: banded_part(m, s[1]))
+    )
+    blocks = (
+        st.tuples(block_shapes, block_shapes)
+        .flatmap(lambda s: st.tuples(grids(*s[0]), grids(*s[1])))
+        .flatmap(lambda ab: st.permutations(block_diagonal_rows(*ab)))
+        .map(IntMatrix.from_rows)
+    )
+    mostly_zero = shapes.flatmap(lambda s: sparse_grids(*s))
+    holed = shapes.flatmap(
+        lambda s: st.tuples(
+            grids(*s), st.sets(st.integers(0, s[0] - 1)), st.sets(st.integers(0, s[1] - 1))
+        )
+    ).map(lambda t: zero_lines(*t))
+    return st.one_of(banded, blocks, mostly_zero, holed)
+
+
+# Rows that Bareiss pivot columns miss and that are rescaled later.  The
+# second and third pivot columns miss the last row, which is then the last
+# pivot row; in the second matrix they miss it and the fourth pivot
+# eliminates it, and the pivot row of that step was missed three times.
+# In the third, the first two pivot columns miss the last row and the third
+# eliminates it; left unscaled, its update floors a nonzero entry to 0 and
+# the rank to 3.
+SKIPPED_THEN_PIVOT = IntMatrix.from_rows(
+    [[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [1, 0, 0, 2]]
+)
+SKIPPED_THEN_ELIMINATED = IntMatrix.from_rows(
+    [[2, 0, 0, 1, 0], [0, 3, 0, 0, 0], [0, 0, 5, 0, 0], [0, 0, 0, 7, 1], [1, 0, 0, 2, 3]]
+)
+SKIPPED_THEN_RANK_KEPT = IntMatrix.from_rows(
+    [[-3, 1, -2, 1], [0, -2, 0, -3], [1, 0, -2, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+)
+
+
 def is_divisibility_chain(diag):
     nonzero = [d for d in diag if d != 0]
     return all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1)) and all(
@@ -97,8 +167,10 @@ def test_snf_roundtrip(m):
     assert abs(cofactor_determinant(v)) == 1
 
 
-@given(matrices(max_dim=5, bound=12))
-@settings(max_examples=100)
+@given(st.one_of(matrices(max_dim=5, bound=12), sparse_matrices(square=True)))
+@example(SKIPPED_THEN_PIVOT)
+@example(SKIPPED_THEN_ELIMINATED)
+@settings(max_examples=200)
 def test_determinant_routes_agree(m):
     if m.rows == m.cols:
         assert determinant(m) == cofactor_determinant(m)
@@ -138,10 +210,13 @@ def test_rank_bounded(m):
 # with a gcd row merge and with a column zero mod D; a gcd column merge;
 # column merges that refill the pivot column; D = 1, square and tall; and
 # the zero matrix.
-@given(st.one_of(matrices(), shaped_matrices(), scaled_matrices()))
+@given(st.one_of(matrices(), shaped_matrices(), scaled_matrices(), sparse_matrices()))
 @example(IntMatrix.zero(0, 0))
 @example(IntMatrix.zero(0, 3))
 @example(IntMatrix.zero(3, 0))
+@example(SKIPPED_THEN_PIVOT)
+@example(SKIPPED_THEN_ELIMINATED)
+@example(SKIPPED_THEN_RANK_KEPT)
 @example(IntMatrix.from_rows([[2, 0], [0, 2], [1, 1]]))
 @example(IntMatrix.from_rows([[36], [18], [-24]]))
 @example(IntMatrix.from_rows([[2], [-3]]))
@@ -158,11 +233,23 @@ def test_invariant_factors_match_smith_diagonal(m):
 @pytest.mark.parametrize("k", range(1, 7))
 def test_invariant_factors_of_family_grams(k):
     gram = milnor_lattice(milnor_family(k)).gram
-    assert invariant_factors(gram) == smith_normal_form(gram)[1].diagonal()
+    diagonal = smith_normal_form(gram)[1].diagonal()
+    assert invariant_factors(gram) == diagonal
+    assert abs(determinant(gram)) == prod(diagonal)
 
 
-@given(shaped_matrices())
-@settings(max_examples=200)
+@pytest.mark.parametrize("k", FAMILY_RANGE)
+def test_family_grams_have_full_rank(k):
+    # mu of (6k - 1, 3, 2, 2, 2) is (6k - 2) * 2, a closed form that no
+    # elimination computes; the gram at k = 28 is 332 x 332.
+    assert rank(milnor_lattice(milnor_family(k)).gram) == 12 * k - 4
+
+
+@given(st.one_of(shaped_matrices(), sparse_matrices()))
+@example(SKIPPED_THEN_PIVOT)
+@example(SKIPPED_THEN_ELIMINATED)
+@example(SKIPPED_THEN_RANK_KEPT)
+@settings(max_examples=300)
 def test_rank_matches_rational_oracle(m):
     assert rank(m) == rational_rank(m.to_lists())
 
