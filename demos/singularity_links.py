@@ -9,7 +9,7 @@ weighted-projective data, spectra, and intersection lattices.
 from exotic_invariants import (
     BrieskornPham,
     a_lattice,
-    canonical_type,
+    canonical_type_from_weights,
     milnor_family,
     milnor_lattice,
     milnor_number,
@@ -23,7 +23,7 @@ for k in (1, 2, 3):
     bp = milnor_family(k)
     mu = milnor_number(bp)
     ell, weights = weights_and_degree(bp)
-    kind, gorenstein = canonical_type(bp)
+    kind, gorenstein = canonical_type_from_weights(ell, weights)
     print(
         f"k = {k}: exponents {bp}, mu = {mu:3d}, degree {ell:3d}, "
         f"weights {weights}, {kind.value}, gorenstein {gorenstein}"
@@ -42,7 +42,7 @@ print("The canonical-type trichotomy")
 print("-----------------------------")
 for exps in [(5, 3, 2, 2, 2), (3, 3, 3), (7, 3, 2)]:
     bp = BrieskornPham(exps)
-    kind, gorenstein = canonical_type(bp)
+    kind, gorenstein = canonical_type_from_weights(*weights_and_degree(bp))
     print(f"{bp}: {kind.value:12s} gorenstein parameter {gorenstein}")
 
 print()

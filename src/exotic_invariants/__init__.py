@@ -25,7 +25,7 @@ from .brieskorn import (
     MilnorLattice,
     Spectrum,
     a_lattice,
-    canonical_type,
+    canonical_type_from_weights,
     category_hom_dims,
     chain_euler_matrix,
     hom_dims_product,

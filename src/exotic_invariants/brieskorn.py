@@ -261,12 +261,6 @@ def weights_and_degree(bp: BrieskornPham):
     return ell, tuple(ell // a for a in bp.exponents)
 
 
-def canonical_type(bp: BrieskornPham):
-    """(type, Gorenstein parameter) of bp's weighted grading; see
-    `canonical_type_from_weights`."""
-    return canonical_type_from_weights(*weights_and_degree(bp))
-
-
 def canonical_type_from_weights(ell: int, weights):
     """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell,
     with (ell, w) from `weights_and_degree`.

@@ -6,10 +6,15 @@ rationals as lowest-terms "p/q" strings, so re-serializing the parsed
 output reproduces the bytes), otherwise through the subcommand's `*_table`
 renderer, which reads only the payload.  The --json output is byte-equal
 to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
-floats).  The argument parser is built once per process and holds only
-argument grammar: `run` looks up `cmd_<name>` and `<name>_table` in this
-module when each request arrives, with <name> the subcommand's name with
-"-" turned into "_", so every subcommand must keep that naming.
+floats).  A list whose items are all exact ints (the type check comes
+first, so True and 2.0 never reach the table) is written as one join of
+prebuilt decimal texts for the ints from -1024 to 1024, so a gram entry
+costs a lookup and no int-to-text conversion; a list holding an int
+outside that range falls back to the list's repr.  The argument parser
+is built once per process and holds only argument grammar: `run` looks up
+`cmd_<name>` and `<name>_table` in this module when each request arrives,
+with <name> the subcommand's name with "-" turned into "_", so every
+subcommand must keep that naming.
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
@@ -63,11 +68,38 @@ def fluxed_json(fb: FluxedBundle) -> dict:
     return {"bundle": bundle_json(fb.bundle), "flux": fb.flux}
 
 
+# Decimal text of each int from -1024 to 1024, built once for `_emit`; the
+# entries of the family grams all fall inside.
+_DECIMAL = {i: str(i) for i in range(-1024, 1025)}
+
+
 def canonical_json(payload: dict) -> str:
     """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it.
 
     Only dict with str keys, list, str, int, bool and None are canonical;
-    anything else, a float or a tuple among them, raises TypeError.
+    anything else, a float or a tuple among them, raises TypeError.  A list
+    of exact ints is written from the decimal table when every item is in
+    it, and from the list's repr otherwise; a list holding True or 2.0 is
+    not an int list, and is written item by item.
+
+    >>> print(canonical_json({"gram": [[2, -1], [-1, 2]], "rank": 2}))
+    {
+      "gram": [
+        [
+          2,
+          -1
+        ],
+        [
+          -1,
+          2
+        ]
+      ],
+      "rank": 2
+    }
+    >>> canonical_json({"gram": [[2, -1], [-1, 2.0]]})
+    Traceback (most recent call last):
+    ...
+    TypeError: float is not canonical JSON
     """
     parts = []
     _emit(payload, "\n", parts)
@@ -95,9 +127,16 @@ def _emit(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         kinds = set(map(type, value))
         if kinds == {int}:
-            # An exact int's repr is its str, so the list's repr holds the
-            # items already written; only the separators change.
-            text = str(value)[1:-1].replace(", ", "," + inner)
+            # Exact ints only: True and 2.0 hash equal to 1 and 2, so the
+            # type check must come before the table lookup.
+            separator = "," + inner
+            try:
+                text = separator.join(map(_DECIMAL.__getitem__, value))
+            except KeyError:
+                # An int outside the table: an exact int's repr is its
+                # str, so the list's repr holds the items already written
+                # and only the separators change.
+                text = str(value)[1:-1].replace(", ", separator)
             parts += ("[", inner, text, newline, "]")
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)

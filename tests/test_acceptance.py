@@ -79,11 +79,11 @@ def test_c05_family_identities():
         assert mu == len(basis) == 2 * (6 * k - 2)
         assert ei.milnor_number(bp) == mu
         assert sum(Fraction(1, a) for a in bp.exponents) > 1
-        kind, _ = ei.canonical_type(bp)
+        kind, _ = ei.canonical_type_from_weights(*ei.weights_and_degree(bp))
         assert kind is ei.CanonicalType.FANO
     ell, weights = ei.weights_and_degree(ei.milnor_family(1))
     assert (ell, weights) == (30, (6, 10, 15, 15, 15))
-    _, gorenstein = ei.canonical_type(ei.milnor_family(1))
+    _, gorenstein = ei.canonical_type_from_weights(ell, weights)
     assert gorenstein == Fraction(31, 30)
     report(5, "family k=1..28: mu = 2(6k-2), Fano, k=1 weights and Gorenstein exact")
 

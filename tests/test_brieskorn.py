@@ -12,7 +12,7 @@ from exotic_invariants.brieskorn import (
     BrieskornPham,
     CanonicalType,
     a_lattice,
-    canonical_type,
+    canonical_type_from_weights,
     category_hom_dims,
     chain_euler_matrix,
     hom_dims_product,
@@ -36,6 +36,11 @@ from oracles import (
 )
 
 exponent_vectors = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
+
+
+def canonical_type_of(bp):
+    """(type, Gorenstein parameter) of bp's weighted grading."""
+    return canonical_type_from_weights(*weights_and_degree(bp))
 
 
 def test_type_validation():
@@ -177,18 +182,18 @@ def test_weights_examples():
 
 
 def test_canonical_type_examples():
-    kind, g = canonical_type(BrieskornPham.of(5, 3, 2, 2, 2))
+    kind, g = canonical_type_of(BrieskornPham.of(5, 3, 2, 2, 2))
     assert kind is CanonicalType.FANO and g == Fraction(31, 30)
-    kind, g = canonical_type(BrieskornPham.of(3, 3, 3))
+    kind, g = canonical_type_of(BrieskornPham.of(3, 3, 3))
     assert kind is CanonicalType.CALABI_YAU and g == 0
-    kind, g = canonical_type(BrieskornPham.of(7, 3, 2))
+    kind, g = canonical_type_of(BrieskornPham.of(7, 3, 2))
     assert kind is CanonicalType.GENERAL_TYPE and g == Fraction(-1, 42)
 
 
 @given(st.lists(st.integers(2, 60), min_size=1, max_size=6).map(tuple))
 @settings(max_examples=200)
 def test_canonical_type_matches_fraction_sum_oracle(exps):
-    assert canonical_type(BrieskornPham(exps)) == fraction_sum_canonical_type(exps)
+    assert canonical_type_of(BrieskornPham(exps)) == fraction_sum_canonical_type(exps)
 
 
 @given(exponent_vectors)
@@ -196,7 +201,7 @@ def test_canonical_type_matches_fraction_sum_oracle(exps):
 def test_fano_iff_weight_excess(exps):
     bp = BrieskornPham(exps)
     ell, weights = weights_and_degree(bp)
-    kind, _ = canonical_type(bp)
+    kind, _ = canonical_type_of(bp)
     assert (sum(weights) > ell) == (kind is CanonicalType.FANO)
 
 
@@ -213,7 +218,7 @@ def test_family_identities():
         bp = milnor_family(k)
         assert milnor_number(bp) == 2 * (6 * k - 2)
         assert in_sphere_link_family(bp)
-        kind, _ = canonical_type(bp)
+        kind, _ = canonical_type_of(bp)
         assert kind is CanonicalType.FANO
     assert not in_sphere_link_family(BrieskornPham.of(6, 3, 2, 2, 2))
     assert not in_sphere_link_family(BrieskornPham.of(5, 3, 2, 2))

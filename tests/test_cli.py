@@ -198,9 +198,13 @@ AWKWARD = st.sampled_from(
 )
 TEXT = st.text(AWKWARD | st.characters(), max_size=6)
 INTS = st.integers(-(10**100), 10**100)
+# Ints about the range that canonical_json writes from its decimal table,
+# both ends and just past them included.
+SMALL_INTS = st.integers(-1100, 1100)
 JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | INTS | TEXT
-    | st.lists(st.booleans()) | st.lists(INTS | st.booleans()),
+    st.none() | st.booleans() | INTS | SMALL_INTS | TEXT
+    | st.lists(st.booleans()) | st.lists(INTS | st.booleans())
+    | st.lists(SMALL_INTS) | st.lists(SMALL_INTS | INTS | st.booleans()),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(TEXT, inner, max_size=4),
     max_leaves=20,
 )
@@ -215,6 +219,8 @@ JSON_VALUES = st.recursive(
 @example({"gram": [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]], "zeros": [0] * 40})
 @example({"x": [1, True], "y": [[2, 0], [0, True]], "z": [[2, 0], [0, 1]]})
 @example({"big": [10**100, 10**100, -(10**100), -(10**100), 10**100]})
+@example({"ends": [-1025, -1024, 1024, 1025], "inside": [-1024, -1, 0, 1, 1024]})
+@example({"first out": [10**30, 3], "last out": [3, 0, -(10**30)]})
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == canonical_json_oracle(payload)
 
@@ -224,13 +230,17 @@ def test_canonical_json_matches_json_dumps(payload):
     [
         {"x": 1.0},
         {"x": [1, 2.5]},
+        {"x": [1, 2.0]},
         {"x": (1, 2)},
         {"x": {1}},
         {1: "x"},
         {"x": {"y": {None: 1}}},
         {"x": [1, Exponent.TWO, 3]},
     ],
-    ids=["float", "float in list", "tuple", "set", "int key", "None key", "IntEnum in int list"],
+    ids=[
+        "float", "float in list", "integral float in list", "tuple", "set",
+        "int key", "None key", "IntEnum in int list",
+    ],
 )
 def test_canonical_json_rejects_non_canonical_values(payload):
     with pytest.raises(TypeError):

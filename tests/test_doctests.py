@@ -10,6 +10,7 @@ MIN_TRIED = {
     "abelian": 11,
     "brieskorn": 5,
     "bundles": 1,
+    "cli": 2,
     "groups": 3,
     "hodge": 1,
     "snf": 8,
