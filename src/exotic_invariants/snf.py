@@ -4,7 +4,7 @@ Everything here runs on arbitrary-precision Python integers: Smith normal
 form intermediates can blow up far past 64 bits even for small inputs, so
 no fixed-width array library is used.
 
-Four elimination loops serve four jobs.  A fraction-free (Bareiss) row
+Three elimination loops serve three jobs.  A fraction-free (Bareiss) row
 elimination gives `rank`, which kernels need, `determinant`, and the
 pivot minor D that `invariant_factors` works modulo: one pass per column
 over Z/DZ gives the Smith diagonal alone, all that cokernels need.  The
@@ -13,15 +13,13 @@ rescales it lazily, by the telescoped pivot ratio, when it is next used;
 the ratio divides exactly because the stored entries are minors of M.
 So a banded input, such as a family gram, costs about n w^2 big-integer
 updates for width w, not n^3.
-`smith_normal_form` runs the other two on M bordered by identity blocks:
-a row Hermite pass on [M | I_m], then the smallest-pivot Smith
-elimination with I_n appended below, so row operations build U in the
-right border and column operations build V in the bottom one.  The
-Hermite pass fixes U at H M^-1 for a nonsingular M, which keeps the
-transforms near Hadamard size; the Smith elimination alone let them
-grow with every pivot.  Building U and V still costs the most, so call
-it only when they are needed.  Its diagonal is the tests' oracle for
-`invariant_factors`.
+`smith_normal_form` runs the third, a Hermite pass, on the rows of M and
+on its columns in turn, each bordered by an identity block that records
+the operations: the row border becomes U and the column border V.  The
+Hermite pass fixes its transform at H M^-1 for a nonsingular M, which
+keeps U and V near Hadamard size.  Building U and V still costs the
+most, so call it only when they are needed.  Its diagonal is the tests'
+oracle for `invariant_factors`.
 
 >>> M = IntMatrix.from_rows([[2, 4], [6, 8]])
 >>> U, D, V = smith_normal_form(M)
@@ -34,7 +32,7 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from math import gcd
 from operator import mul
 
@@ -151,61 +149,6 @@ def _trusted(cls, *values):
     return obj
 
 
-def _eliminate(a, nrows, ncols) -> None:
-    """Reduce the top-left nrows x ncols block of the rows `a` in place to
-    the Smith diagonal.
-
-    Row operations act on whole rows and column operations on every row of
-    `a`, so whatever borders the block records them: `smith_normal_form`
-    borders M with I_m on the right, which becomes U, and I_n below, which
-    becomes V.  Each pivot is the first smallest-magnitude nonzero entry of
-    the block left, in row-major order, which keeps growth in check and the
-    output deterministic.  Rows and columns of the block before step t are
-    zero off the diagonal, so row operations start at column t and a column
-    operation touches only the rows nonzero in column t.
-    """
-    t = 0
-    while t < min(nrows, ncols):
-        pos = _min_pivot(a, t, nrows, ncols)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            a[t], a[i] = a[i], a[t]
-        if j != t:
-            for r in a[t:]:
-                r[t], r[j] = r[j], r[t]
-        top = a[t]
-        if top[t] < 0:
-            top[t:] = [-x for x in top[t:]]
-        p, head = top[t], top[t:]
-        dirty = False
-        for i in range(t + 1, nrows):
-            r = a[i]
-            if r[t]:
-                q = r[t] // p
-                r[t:] = [x - q * y for x, y in zip(r[t:], head)]
-                dirty = dirty or r[t] != 0
-        live = [(r, r[t]) for r in a[t:] if r[t]]
-        for j in range(t + 1, ncols):
-            if top[j]:
-                q = top[j] // p
-                for r, c in live:
-                    r[j] -= q * c
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue  # remainders survived; pick a smaller pivot
-
-        # Pivot must divide the rest of the block for d_t | d_{t+1} | ...;
-        # adding the first row it does not divide forces a smaller pivot.
-        for r in a[t + 1 : nrows]:
-            if any(x % p for x in r[t + 1 : ncols]):
-                top[t:] = [x + y for x, y in zip(top[t:], r[t:])]
-                break
-        else:
-            t += 1
-
-
 def _hermite(a, nrows, ncols) -> None:
     """Reduce the top-left nrows x ncols block of the rows `a` in place to
     row Hermite form, by row operations only.
@@ -216,13 +159,17 @@ def _hermite(a, nrows, ncols) -> None:
     the pivot is zero.  Then, from the last pivot row up, each entry above
     a pivot p is reduced to [0, p) by a floor multiple of the pivot row.
     For a nonsingular M this fixes the row transform at H M^-1, near
-    Hadamard size (Kannan-Bachem, SIAM J. Comput. 1979), where the Smith
-    elimination alone lets it grow with every pivot.  Reducing bottom-up
+    Hadamard size (Kannan-Bachem, SIAM J. Comput. 1979), where a
+    smallest-pivot Smith elimination lets it grow with every pivot.
+    `smith_normal_form` runs it on the rows of the block and, transposed,
+    on its columns, so it builds U and V alike.  Reducing bottom-up
     meets only pivot rows already reduced, which keeps a row under about
     twice the bit length of H's entries; reducing each column as its
     pivot is found let the rows above reach ten times it.  Rows at or past
     the pivot row are zero before its column, so row operations start
-    there.
+    there, and they touch only the entries where the pivot row is
+    nonzero: an identity border stays sparse for many steps, and the
+    column pass of a wide M meets pivot rows that are mostly zero.
     """
     pivots = []
     for c in range(ncols):
@@ -240,11 +187,13 @@ def _hermite(a, nrows, ncols) -> None:
                 top[c:] = [-x for x in top[c:]]
             if len(live) == 1:
                 break
-            p, head, half = top[c], top[c:], top[c] >> 1
+            p, half = top[c], top[c] >> 1
+            head = [(k, y) for k, y in enumerate(top[c:], c) if y]
             for r in a[t + 1 : nrows]:
                 q = (r[c] + half) // p
                 if q:
-                    r[c:] = [x - q * y for x, y in zip(r[c:], head)]
+                    for k, y in head:
+                        r[k] -= q * y
             live = [i for i in range(t, nrows) if a[i][c]]
         pivots.append((top, c))
     for k in range(len(pivots) - 2, -1, -1):
@@ -253,18 +202,6 @@ def _hermite(a, nrows, ncols) -> None:
             q = r[c] // top[c]
             if q:
                 r[c:] = [x - q * y for x, y in zip(r[c:], top[c:])]
-
-
-def _min_pivot(a, t, nrows, ncols):
-    """Position of the first smallest-magnitude nonzero entry of the block
-    rows t..nrows-1, columns t..ncols-1 in row-major order, or None if that
-    block is zero."""
-    best, pos = 0, None
-    for i in range(t, nrows):
-        for j, x in enumerate(a[i][t:ncols], t):
-            if x and (pos is None or abs(x) < best):
-                best, pos = abs(x), (i, j)
-    return pos
 
 
 def invariant_factors(M: IntMatrix) -> list:
@@ -401,21 +338,40 @@ def smith_normal_form(M: IntMatrix):
     """Return (U, D, V) with U @ M @ V == D.
 
     U and V are square and unimodular (determinant +-1), and D is diagonal
-    with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .  The
-    rows [M | I_m] are first brought to row Hermite form by `_hermite`,
-    then `_eliminate` runs on them with I_n appended below: D is read from
-    the top-left block, U from the top-right one and V from the rows below.
+    with the `invariant_factors` of M, nonnegative, d1 | d2 | ... .  Each
+    round runs `_hermite` on the rows [M | U], U starting as I_m, and then
+    on the columns, the rows [M^T | V^T], V^T starting as I_n
+    (Kannan-Bachem, SIAM J. Comput. 1979); D is the block left when a
+    round ends with it diagonal.  If some d_i then does not divide a later
+    d_j, column j is added to column i, in the block and in V, and the
+    rounds go on.  They end because a round that does not clear the first
+    row and column of what is left of the block puts a gcd smaller than
+    its leading pivot there, and a column addition makes d_i smaller.
     """
     m, n = M.rows, M.cols
     a = [r + e for r, e in zip(M.to_lists(), IntMatrix.identity(m).to_lists())]
-    _hermite(a, m, n)
-    a += IntMatrix.identity(n).to_lists()
-    _eliminate(a, m, n)
+    vt = IntMatrix.identity(n).to_lists()
+    while True:
+        _hermite(a, m, n)
+        b = [[r[j] for r in a] + v for j, v in enumerate(vt)]
+        _hermite(b, n, m)
+        a = [[c[i] for c in b] + r[n:] for i, r in enumerate(a)]
+        vt = [c[m:] for c in b]
+        d = [a[k][k] for k in range(min(m, n))]
+        if sum(bool(x) for r in a for x in r[:n]) > sum(map(bool, d)):
+            continue
+        pairs = combinations(range(len(d)), 2)
+        step = next(((i, j) for i, j in pairs if d[i] and d[j] % d[i]), None)
+        if step is None:
+            break
+        i, j = step
+        a[j][i] = d[j]  # column j of the block is d_j in row j alone
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
     flat = chain.from_iterable
     return (
-        _trusted(IntMatrix, m, m, tuple(flat(r[n:] for r in a[:m]))),
-        _trusted(IntMatrix, m, n, tuple(flat(r[:n] for r in a[:m]))),
-        _trusted(IntMatrix, n, n, tuple(flat(a[m:]))),
+        _trusted(IntMatrix, m, m, tuple(flat(r[n:] for r in a))),
+        _trusted(IntMatrix, m, n, tuple(flat(r[:n] for r in a))),
+        _trusted(IntMatrix, n, n, tuple(flat(vt))).transpose(),
     )
 
 

@@ -156,6 +156,14 @@ def test_worked_example():
 @example(IntMatrix.zero(0, 0))
 @example(IntMatrix.zero(0, 3))
 @example(IntMatrix.zero(3, 0))
+# Repeated column additions for divisibility, zeros ahead of nonzeros on
+# the diagonal, and a single row and column.
+@example(IntMatrix.from_diagonal([6, 4, 9]))
+@example(IntMatrix.from_diagonal([12, 18, 8, 27]))
+@example(IntMatrix.from_diagonal([2, 0, 3]))
+@example(IntMatrix.from_rows([[0, 0], [0, 5]]))
+@example(IntMatrix.from_rows([[4, 6, 10, 15]]))
+@example(IntMatrix.from_rows([[4], [6], [10], [15]]))
 @settings(max_examples=200)
 def test_snf_roundtrip(m):
     u, d, v = smith_normal_form(m)
@@ -281,14 +289,14 @@ def test_empty_shapes():
 
 
 def test_transforms_are_pinned():
-    # The Hermite pass and the pivot rule fix U and V, not just D; callers
-    # may rely on them.
+    # The alternating row and column Hermite passes fix U and V, not just
+    # D; callers may rely on them.
     m = IntMatrix.from_rows([[4, 7, -2, 0], [6, 3, 5, 9], [-8, 2, 10, 6]])
     u, d, v = smith_normal_form(m)
-    assert u.to_lists() == [[-1, 2, 1], [-5, 9, 4], [1712, -3082, -1369]]
+    assert u.to_lists() == [[-5, 9, 4], [-1, 2, 1], [-8, 14, 7]]
     assert d.diagonal() == [1, 1, 4] and d.is_diagonal()
     assert v.to_lists() == [
-        [0, -47, -40, 105], [1, -22, 2, -6], [0, 1, -71, 189], [0, 0, 65, -173]
+        [-3432, 0, -40, 105], [196, 1, 2, -6], [-6178, 0, -71, 189], [5655, 0, 65, -173]
     ]
 
 

@@ -4,9 +4,9 @@
 every shape r x c with r, c in 0..5 and entries in [-20, 20], products
 through a middle of width at most 2 (rank <= 2), diag(2, 3) (which takes
 the divisibility fix), a matrix whose first pivot is negative and one with
-10^40 entries.  The Hermite row pass and the Smith pivot rule fix U and
-V, not just D, so a change of operation order in either shows up here on
-any shape.  Re-record it with
+10^40 entries.  The alternating row and column Hermite passes and the
+column addition for divisibility fix U and V, not just D, so a change of
+operation order in any of them shows up here on any shape.  Re-record it with
 
     PYTHONPATH=src python tests/test_snf_goldens.py
 
