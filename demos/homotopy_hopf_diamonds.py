@@ -10,11 +10,10 @@ a tiny finite list, enumerated here.
 from exotic_invariants import (
     NONUNIT,
     UNIT,
+    HodgeDiamond,
     ddbar_constraints_check,
     enumerate_admissible_diamonds,
-    hopf_hodge_numbers,
     hopf_manifold_cohomology,
-    mall_diamond,
 )
 
 print("Integral cohomology of M(m, k-m) x S^1")
@@ -28,8 +27,9 @@ print("the circle factor tensors the degree-4 class up one degree.")
 print()
 print("Hodge numbers of the standard product S^7 x S^1")
 print("-----------------------------------------------")
-print("nonzero h^{p,q}:", hopf_hodge_numbers(4))
-print(mall_diamond().triangle())
+standard = {(0, 0): 1, (0, 1): 1, (4, 4): 1, (4, 3): 1}
+print("nonzero h^{p,q}:", standard)
+print(HodgeDiamond.from_entries(standard).triangle())
 
 print()
 print("Enumerating all admissible diamonds, unit branch (k = +-1)")

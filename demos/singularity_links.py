@@ -8,7 +8,6 @@ weighted-projective data, spectra, and intersection lattices.
 
 from exotic_invariants import (
     BrieskornPham,
-    a_lattice,
     canonical_type_from_weights,
     milnor_family,
     milnor_lattice,
@@ -50,7 +49,8 @@ print("Intersection lattices in the distinguished basis")
 print("------------------------------------------------")
 print("a single exponent a gives the rank a-1 chain lattice:")
 print("  exponent 4 ->", milnor_lattice(BrieskornPham.of(4)).gram.to_lists())
-print("  chain gram  ->", a_lattice(3).to_lists())
+chain = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(3)] for i in range(3)]
+print("  chain gram  ->", chain)
 print()
 two = BrieskornPham.of(3, 3)
 lat = milnor_lattice(two)

@@ -24,11 +24,7 @@ from .brieskorn import (
     CanonicalType,
     MilnorLattice,
     Spectrum,
-    a_lattice,
     canonical_type_from_weights,
-    category_hom_dims,
-    chain_euler_matrix,
-    hom_dims_product,
     in_sphere_link_family,
     milnor_family,
     milnor_lattice,
@@ -82,9 +78,7 @@ from .hodge import (
     branch_of_euler,
     ddbar_constraints_check,
     enumerate_admissible_diamonds,
-    hopf_hodge_numbers,
     hopf_manifold_cohomology,
-    mall_diamond,
 )
 from .snf import IntMatrix, determinant, invariant_factors, rank, smith_normal_form
 from .tduality import (

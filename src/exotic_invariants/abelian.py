@@ -155,6 +155,8 @@ class GradedGroups:
         for degree, group in dict(groups or {}).items():
             if not isinstance(degree, int) or degree < 0:
                 raise InvalidArgument("degrees must be nonnegative integers")
+            if not isinstance(group, AbelianGroup):
+                raise InvalidArgument(f"degree {degree} holds {group!r}, not an AbelianGroup")
             if not group.is_trivial:
                 data[degree] = group
         self._groups = dict(sorted(data.items()))

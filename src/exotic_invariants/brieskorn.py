@@ -151,19 +151,6 @@ def _check_size(bp: BrieskornPham, what: str, entries: int) -> None:
         )
 
 
-def a_lattice(n: int) -> IntMatrix:
-    """Gram matrix of the rank-n chain lattice: 2 on the diagonal, -1 on
-    the first off-diagonals."""
-    if n < 1:
-        raise InvalidArgument(f"lattice rank must be >= 1, got {n}")
-    return IntMatrix.from_rows(
-        [
-            [2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)]
-            for i in range(n)
-        ]
-    )
-
-
 def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     """Distinguished-basis lattice of the full singularity.
 
@@ -290,47 +277,3 @@ def in_sphere_link_family(bp: BrieskornPham) -> bool:
     that is, when bp is milnor_family(k) for the k its first exponent gives."""
     k = (bp.exponents[0] + 1) // 6
     return k in FAMILY_RANGE and bp == milnor_family(k)
-
-
-def category_hom_dims(a: int, i: int, j: int) -> dict:
-    """Morphism-space dimensions by degree between objects i, j of the
-    rank-a directed chain category.
-
-    hom(C_i, C_i) is one-dimensional in degree 0, hom(C_i, C_{i+1}) is
-    one-dimensional in degree 1, and every other pair has no morphisms.
-    """
-    if not (1 <= i <= a and 1 <= j <= a):
-        raise InvalidArgument(f"objects run 1..{a}, got ({i}, {j})")
-    if i == j:
-        return {0: 1}
-    if j == i + 1:
-        return {1: 1}
-    return {}
-
-
-def hom_dims_product(*factors: dict) -> dict:
-    """Degreewise convolution of hom-dimension tables, as in a tensor
-    product of chain categories."""
-    out = {0: 1}
-    for table in factors:
-        nxt = {}
-        for d1, n1 in out.items():
-            for d2, n2 in table.items():
-                nxt[d1 + d2] = nxt.get(d1 + d2, 0) + n1 * n2
-        out = nxt
-    return out
-
-
-def chain_euler_matrix(n: int) -> IntMatrix:
-    """Matrix of alternating-sum hom dimensions chi(i, j) for the rank-n
-    chain category; its symmetrization recovers a_lattice(n)."""
-    if n < 1:
-        raise InvalidArgument(f"need n >= 1, got {n}")
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            dims = category_hom_dims(n, i, j)
-            row.append(sum((-1) ** d * c for d, c in dims.items()))
-        rows.append(row)
-    return IntMatrix.from_rows(rows)

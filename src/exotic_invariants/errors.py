@@ -5,11 +5,10 @@ exist (wrong bundle type, out-of-range family index, ...).  The CLI maps
 them to exit status 1.  InvalidArgument signals an argument outside the
 range its type or function allows (a non-integer, an exponent below 2, a
 non-integer group order or pairing coefficient, a group order below 1, an
-unknown Hodge branch, a ragged matrix, a lattice or chain rank below 1, a
-chain-category object index outside 1..a, a Hopf-manifold dimension below
-2, a Milnor lattice or spectrum of more than brieskorn.MAX_ENTRIES
-entries); the CLI maps it, like the usage errors of its parser, to exit
-status 2.
+unknown Hodge branch, a ragged matrix, a graded group that is not an
+AbelianGroup, a Milnor lattice or spectrum of more than
+brieskorn.MAX_ENTRIES entries); the CLI maps it, like the usage errors
+of its parser, to exit status 2.
 """
 
 

@@ -166,7 +166,9 @@ def link_isotropies(k: int, l: int) -> list:
     b the gcd of the weights over the support.  Repeated and non-coprime
     weights do occur, so b > 1 supports are genuinely present.
     """
-    weights = family_weights(k)  # OutOfFamily before the l check
+    weights = family_weights(k)  # OutOfFamily before the l checks
+    if not isinstance(l, int):
+        raise InvalidArgument("representation exponent must be an integer")
     if l < 1:
         raise InvalidRep(f"representation exponent must be >= 1, got {l}")
     out = []

@@ -100,23 +100,6 @@ class HodgeDiamond:
         return "\n".join(rows)
 
 
-def hopf_hodge_numbers(n: int) -> dict:
-    """Hodge numbers of the standard product of S^{2n-1} with a circle.
-
-    Exactly four entries are 1: (0,0), (0,1), (n,n) and (n,n-1); the rest
-    vanish.  Returned sparsely so any n >= 2 is representable; the n = 4
-    case fits the HodgeDiamond grid via from_entries.
-    """
-    if n < 2:
-        raise InvalidArgument(f"need complex dimension >= 2, got {n}")
-    return {(0, 0): 1, (0, 1): 1, (n, n): 1, (n, n - 1): 1}
-
-
-def mall_diamond() -> HodgeDiamond:
-    """The standard diamond of S^7 x S^1 on the 5x5 grid."""
-    return HodgeDiamond.from_entries(hopf_hodge_numbers(DIM))
-
-
 def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
     """Integral cohomology of M(m, k-m) x S^1 via the product formula.
 

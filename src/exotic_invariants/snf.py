@@ -276,7 +276,7 @@ def _diagonal_gcds(a, D) -> list:
                     q = (f // g * inv + Dg // 2) % Dg - Dg // 2
                     a[i] = [x - q * y for x, y in zip(row, top)]
                     continue
-                h, s, u = _xgcd(top[0], f)
+                h, s, u = _bezout(top[0], f)
                 p0, f0 = top[0] // h, f // h
                 top[:], a[i] = (
                     [(s * y + u * x + half) % D - half for x, y in zip(row, top)],
@@ -291,7 +291,7 @@ def _diagonal_gcds(a, D) -> list:
                 break
             for j in range(1, len(top)):
                 if top[j] % g:
-                    h, s, u = _xgcd(top[0], top[j])
+                    h, s, u = _bezout(top[0], top[j])
                     p0, f0 = top[0] // h, top[j] // h
                     for row in [top] + a:
                         x, y = row[0], row[j]
@@ -303,14 +303,19 @@ def _diagonal_gcds(a, D) -> list:
     return out + [D] * len(a)
 
 
-def _xgcd(a: int, b: int):
-    """(g, s, u) with s * a + u * b = g = gcd(a, b)."""
-    s0, s1, u0, u1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        s0, s1 = s1, s0 - q * s1
-        u0, u1 = u1, u0 - q * u1
-    return (a, s0, u0) if a >= 0 else (-a, -s0, -u0)
+def _bezout(a: int, b: int):
+    """(h, s, u) with s * a + u * b = h = gcd(a, b), for b != 0.
+
+    s inverts a / h modulo |b / h| (0 when that modulus is 1), so
+    u = (1 - s * a / h) / (b / h) is exact, and the merge matrix
+    [[s, u], [-b / h, a / h]] has determinant 1.
+
+    >>> _bezout(-4, 6), _bezout(6, 3)
+    ((2, 1, 1), (3, 0, 1))
+    """
+    h = gcd(a, b)
+    s = pow(a // h, -1, abs(b // h))
+    return h, s, (1 - s * (a // h)) // (b // h)
 
 
 def _gcd_lcm_exchange(vals: list) -> list:

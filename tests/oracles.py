@@ -1,7 +1,12 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths wherever they are
-used to verify one.
+used to verify one.  The directed chain category (category_hom_dims,
+hom_dims_product, chain_euler_matrix) gives the chain lattice a_lattice
+as its symmetrised Euler form, a second route to the milnor_lattice gram
+of a single exponent; hopf_hodge_numbers and mall_diamond give the
+standard diamond of S^7 x S^1, which enumerate_admissible_diamonds(UNIT)
+must return.
 """
 
 import json
@@ -10,6 +15,9 @@ from itertools import product
 from math import gcd
 
 from exotic_invariants.brieskorn import CanonicalType
+from exotic_invariants.errors import InvalidArgument
+from exotic_invariants.hodge import DIM, HodgeDiamond
+from exotic_invariants.snf import IntMatrix
 
 
 def order_in_quotient(x, y, gen_free, gen_tors, i, cap):
@@ -111,6 +119,58 @@ def _chain_pairing(a, b):
     return 0
 
 
+def a_lattice(n):
+    """Gram matrix of the rank-n chain lattice: 2 on the diagonal, -1 on
+    the first off-diagonals."""
+    if n < 1:
+        raise InvalidArgument(f"lattice rank must be >= 1, got {n}")
+    return IntMatrix.from_rows([[_chain_pairing(i, j) for j in range(n)] for i in range(n)])
+
+
+def category_hom_dims(a, i, j):
+    """Morphism-space dimensions by degree between objects i, j of the
+    rank-a directed chain category.
+
+    hom(C_i, C_i) is one-dimensional in degree 0, hom(C_i, C_{i+1}) is
+    one-dimensional in degree 1, and every other pair has no morphisms.
+    """
+    if not (1 <= i <= a and 1 <= j <= a):
+        raise InvalidArgument(f"objects run 1..{a}, got ({i}, {j})")
+    if i == j:
+        return {0: 1}
+    if j == i + 1:
+        return {1: 1}
+    return {}
+
+
+def hom_dims_product(*factors):
+    """Degreewise convolution of hom-dimension tables, as in a tensor
+    product of chain categories."""
+    out = {0: 1}
+    for table in factors:
+        nxt = {}
+        for d1, n1 in out.items():
+            for d2, n2 in table.items():
+                nxt[d1 + d2] = nxt.get(d1 + d2, 0) + n1 * n2
+        out = nxt
+    return out
+
+
+def chain_euler_matrix(n):
+    """Matrix of alternating-sum hom dimensions chi(i, j) for the rank-n
+    chain category; its symmetrization recovers a_lattice(n)."""
+    if n < 1:
+        raise InvalidArgument(f"need n >= 1, got {n}")
+    rows = []
+    for i in range(1, n + 1):
+        row = []
+        for j in range(1, n + 1):
+            dims = category_hom_dims(n, i, j)
+            row.append(sum((-1) ** d * c for d, c in dims.items()))
+        rows.append(row)
+    return IntMatrix.from_rows(rows)
+
+
 def paper_rule_gram(exponents):
     """Distinguished-basis gram by the paper rule, pair by pair.
 
@@ -187,3 +247,20 @@ def canonical_json_oracle(payload):
     """The standard library's rendering of canonical CLI JSON: sorted keys,
     two-space indent, ASCII escapes.  Reference for cli.canonical_json."""
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def hopf_hodge_numbers(n):
+    """Hodge numbers of the standard product of S^{2n-1} with a circle.
+
+    Exactly four entries are 1: (0,0), (0,1), (n,n) and (n,n-1); the rest
+    vanish.  Returned sparsely so any n >= 2 is representable; the n = 4
+    case fits the HodgeDiamond grid via from_entries.
+    """
+    if n < 2:
+        raise InvalidArgument(f"need complex dimension >= 2, got {n}")
+    return {(0, 0): 1, (0, 1): 1, (n, n): 1, (n, n - 1): 1}
+
+
+def mall_diamond():
+    """The standard diamond of S^7 x S^1 on the 5x5 grid."""
+    return HodgeDiamond.from_entries(hopf_hodge_numbers(DIM))

@@ -11,11 +11,7 @@ from exotic_invariants.brieskorn import (
     BP8_ORDER,
     BrieskornPham,
     CanonicalType,
-    a_lattice,
     canonical_type_from_weights,
-    category_hom_dims,
-    chain_euler_matrix,
-    hom_dims_product,
     in_sphere_link_family,
     milnor_family,
     milnor_lattice,
@@ -27,9 +23,13 @@ from exotic_invariants.brieskorn import (
 from exotic_invariants.errors import InvalidArgument, OutOfFamily
 from exotic_invariants.snf import IntMatrix
 from oracles import (
+    a_lattice,
+    category_hom_dims,
+    chain_euler_matrix,
     cofactor_determinant,
     fraction_sum_canonical_type,
     fraction_sum_spectrum,
+    hom_dims_product,
     milnor_number_and_basis,
     paper_rule_gram,
     sphere_link_family_shape,

@@ -13,7 +13,7 @@ MIN_TRIED = {
     "cli": 2,
     "groups": 3,
     "hodge": 1,
-    "snf": 8,
+    "snf": 9,
     "tduality": 1,
 }
 

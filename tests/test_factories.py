@@ -28,6 +28,7 @@ from exotic_invariants.groups import (
     RepClass,
     Theta7Element,
     de_sapio_steps,
+    link_isotropies,
     theta7,
 )
 from exotic_invariants.hodge import HodgeDiamond
@@ -53,6 +54,7 @@ BUILDERS = {
     "MilnorBundle n": lambda x: MilnorBundle(0, x),
     "FluxedBundle flux": lambda x: FluxedBundle(MilnorBundle(1, 0), x),
     "RepClass exponent": lambda x: RepClass(x),
+    "link_isotropies l": lambda x: link_isotropies(1, x),
     "Theta7Element residue": lambda x: Theta7Element(x),
 }
 
@@ -68,6 +70,7 @@ def test_bools_pass_as_integers():
     assert MilnorBundle(True, False).euler == 1
     assert FluxedBundle(MilnorBundle(1, 0), True).flux == 1
     assert RepClass(True).exponent == 1
+    assert link_isotropies(1, True) == link_isotropies(1, 1)
     assert theta7(True).residue == 1
     assert IntMatrix(True, 2, (1, 2)).to_lists() == [[1, 2]]
     assert IntMatrix.zero(True, False).rows == 1
@@ -113,6 +116,7 @@ REJECTED = {
         ConfigMismatch,
     ),
     "sphere_cohomology negative": (lambda: sphere_cohomology(-1), InvalidArgument),
+    "GradedGroups non-group value": (lambda: GradedGroups({0: 5}), InvalidArgument),
 }
 
 

@@ -1,5 +1,5 @@
 import random
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from exotic_invariants.brieskorn import FAMILY_RANGE, milnor_family, milnor_lattice
 from exotic_invariants.snf import (
     IntMatrix,
+    _bezout,
     determinant,
     invariant_factors,
     rank,
@@ -236,6 +237,29 @@ def test_rank_bounded(m):
 @settings(max_examples=600)
 def test_invariant_factors_match_smith_diagonal(m):
     assert invariant_factors(m) == smith_normal_form(m)[1].diagonal()
+
+
+signed = st.integers(-(2**90), 2**90)
+bezout_pairs = st.tuples(signed, signed.filter(bool))
+
+
+@given(bezout_pairs | bezout_pairs.map(lambda p: (p[0] * p[1], p[1])))
+@example((-4, 6))
+@example((4, -6))
+@example((-4, -6))
+@example((6, 3))
+@example((-6, 3))
+@example((6, -3))
+@example((0, -5))
+@settings(max_examples=300)
+def test_bezout_identity_and_merge_determinant(pair):
+    a, b = pair
+    h, s, u = _bezout(a, b)
+    assert h == gcd(a, b) and s * a + u * b == h
+    # The merge [[s, u], [-b / h, a / h]] of _diagonal_gcds has determinant 1.
+    assert s * (a // h) + u * (b // h) == 1
+    if a % b == 0:
+        assert s == 0  # the inverse modulo |b / h| = 1
 
 
 @pytest.mark.parametrize("k", range(1, 7))
