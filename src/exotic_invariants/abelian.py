@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _require
 from .snf import IntMatrix, _gcd_lcm_exchange, invariant_factors, rank
 
 
@@ -33,7 +33,8 @@ def divisibility_chain(orders) -> tuple:
     (6, 36)
     """
     vals = list(orders)
-    if any(not isinstance(d, int) or d < 2 for d in vals):
+    _require(int, "orders", vals)
+    if vals and min(vals) < 2:
         raise InvalidArgument("chain normalization expects integer orders >= 2")
     return tuple(d for d in _gcd_lcm_exchange(vals) if d >= 2)
 
@@ -46,10 +47,11 @@ class AbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
-        if not isinstance(self.free_rank, int) or self.free_rank < 0:
-            raise InvalidArgument("free rank must be a nonnegative integer")
         chain = self.torsion
-        if any(not isinstance(d, int) or d < 2 for d in chain):
+        _require(int, "free rank and torsion orders", (self.free_rank, *chain))
+        if self.free_rank < 0:
+            raise InvalidArgument("free rank must be a nonnegative integer")
+        if chain and min(chain) < 2:
             raise InvalidArgument("torsion orders must be integers >= 2")
         if any(chain[i + 1] % chain[i] != 0 for i in range(len(chain) - 1)):
             raise InvalidArgument(f"torsion {chain} is not a divisibility chain")
@@ -62,6 +64,7 @@ class AbelianGroup:
         (2, 12)
         """
         orders = list(orders)
+        _require(int, "free rank and orders", (free_rank, *orders))
         free_rank += sum(1 for d in orders if d == 0)
         finite = [abs(d) for d in orders if d != 0 and abs(d) != 1]
         return cls(free_rank, divisibility_chain(finite))
@@ -116,7 +119,8 @@ def cokernel_group(M: IntMatrix) -> AbelianGroup:
 
 def kernel_group(M: IntMatrix) -> AbelianGroup:
     """Kernel of M acting on Z^cols; always free."""
-    return AbelianGroup.free(M.cols - rank(M))
+    r = rank(M)  # checks M before M.cols is read
+    return AbelianGroup.free(M.cols - r)
 
 
 def tensor_and_tor(a: AbelianGroup, b: AbelianGroup):
@@ -129,6 +133,7 @@ def tensor_and_tor(a: AbelianGroup, b: AbelianGroup):
     >>> print(t, "|", tor)
     C2 | C2
     """
+    _require(AbelianGroup, "groups", (a, b))
     tensor_orders = []
     tensor_orders.extend(list(b.torsion) * a.free_rank)
     tensor_orders.extend(list(a.torsion) * b.free_rank)
@@ -151,15 +156,12 @@ class GradedGroups:
     """
 
     def __init__(self, groups=None):
-        data = {}
-        for degree, group in dict(groups or {}).items():
-            if not isinstance(degree, int) or degree < 0:
-                raise InvalidArgument("degrees must be nonnegative integers")
-            if not isinstance(group, AbelianGroup):
-                raise InvalidArgument(f"degree {degree} holds {group!r}, not an AbelianGroup")
-            if not group.is_trivial:
-                data[degree] = group
-        self._groups = dict(sorted(data.items()))
+        groups = dict(groups or {})
+        _require(int, "degrees", groups)
+        _require(AbelianGroup, "graded groups", groups.values())
+        if any(degree < 0 for degree in groups):
+            raise InvalidArgument("degrees must be nonnegative integers")
+        self._groups = {d: groups[d] for d in sorted(groups) if not groups[d].is_trivial}
 
     def __getitem__(self, degree: int) -> AbelianGroup:
         return self._groups.get(degree, TRIVIAL)

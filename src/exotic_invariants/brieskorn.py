@@ -19,7 +19,7 @@ from itertools import compress, product, starmap
 from math import comb, lcm
 from operator import gt, is_not
 
-from .errors import InvalidArgument, OutOfFamily
+from .errors import InvalidArgument, OutOfFamily, _require
 from .snf import IntMatrix, _trusted
 
 
@@ -72,8 +72,7 @@ class BrieskornPham:
     def __post_init__(self):
         if len(self.exponents) < 1:
             raise InvalidArgument("need at least one exponent")
-        if not all(isinstance(a, int) for a in self.exponents):
-            raise InvalidArgument("exponents must be integers")
+        _require(int, "exponents", self.exponents)
         if any(a < 2 for a in self.exponents):
             raise InvalidArgument("exponents must all be >= 2")
 
@@ -267,6 +266,7 @@ def canonical_type_from_weights(ell: int, weights):
 
 def milnor_family(k: int) -> BrieskornPham:
     """Member k of the exotic-sphere link family (6k-1, 3, 2, 2, 2)."""
+    _require(int, "family index", (k,))
     if k not in FAMILY_RANGE:
         raise OutOfFamily(f"family index must be in 1..{BP8_ORDER}, got {k}")
     return BrieskornPham.of(6 * k - 1, 3, 2, 2, 2)

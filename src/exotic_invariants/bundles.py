@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, GradedGroups, Z, cokernel_group, kernel_group
-from .errors import InvalidArgument, NotHomotopySphere
+from .errors import InvalidArgument, NotHomotopySphere, _require
 from .snf import IntMatrix
 
 
@@ -22,8 +22,7 @@ class MilnorBundle:
     n: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, int) and isinstance(self.n, int)):
-            raise InvalidArgument("clutching exponents must be integers")
+        _require(int, "clutching exponents", (self.m, self.n))
 
     @property
     def euler(self) -> int:

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from .brieskorn import BP8_ORDER, milnor_family, weights_and_degree
-from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable
+from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable, _require
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class GroupConfig:
     coeff: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.order, int) and isinstance(self.coeff, int)):
-            raise InvalidArgument("group order and pairing coefficient must be integers")
+        _require(int, "group order and pairing coefficient", (self.order, self.coeff))
         if self.order < 1:
             raise InvalidArgument("group order must be >= 1")
 
@@ -49,8 +48,7 @@ class _Residue:
     config: GroupConfig = DEFAULT_CONFIG
 
     def __post_init__(self):
-        if not isinstance(self.residue, int):
-            raise InvalidArgument("residue must be an integer")
+        _require(int, "residue", (self.residue,))
         if not 0 <= self.residue < self.config.order:
             raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
@@ -70,8 +68,7 @@ class RepClass:
     exponent: int
 
     def __post_init__(self):
-        if not isinstance(self.exponent, int):
-            raise InvalidArgument("representation exponent must be an integer")
+        _require(int, "representation exponent", (self.exponent,))
 
 
 def theta7(value: int, config: GroupConfig = DEFAULT_CONFIG) -> Theta7Element:
@@ -118,6 +115,7 @@ def de_sapio_steps(start: Theta7Element, step: Theta7Element, target: Theta7Elem
     ...
     exotic_invariants.errors.Unreachable: 5 not reachable from 0 by steps of 2 mod 28
     """
+    _require(_Residue, "group elements", (start, step, target))
     if start.config != step.config or step.config != target.config:
         raise ConfigMismatch("mismatched group configurations")
     n = start.config.order
@@ -139,6 +137,7 @@ def fano_moduli_compose(r1: RepClass, r2: RepClass) -> RepClass:
 def is_orbifold_rep(r: RepClass) -> bool:
     """Whether the quotient by the representation is an orbifold: the fixed
     set of q -> lambda^l q is all of the circle exactly when l = 0."""
+    _require(RepClass, "representation", (r,))
     return r.exponent != 0
 
 
@@ -167,8 +166,7 @@ def link_isotropies(k: int, l: int) -> list:
     weights do occur, so b > 1 supports are genuinely present.
     """
     weights = family_weights(k)  # OutOfFamily before the l checks
-    if not isinstance(l, int):
-        raise InvalidArgument("representation exponent must be an integer")
+    _require(int, "representation exponent", (l,))
     if l < 1:
         raise InvalidRep(f"representation exponent must be >= 1, got {l}")
     out = []

@@ -18,7 +18,7 @@ from itertools import product
 
 from .abelian import GradedGroups, kunneth, sphere_cohomology
 from .bundles import MilnorBundle, bundle_cohomology
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _require
 
 DIM = 4  # complex dimension of the stored grids
 
@@ -36,6 +36,7 @@ def betti_vector(branch: str) -> tuple:
 
 
 def branch_of_euler(k: int) -> str:
+    _require(int, "Euler class", (k,))
     return UNIT if abs(k) == 1 else NONUNIT
 
 
@@ -48,7 +49,8 @@ class HodgeDiamond:
     def __post_init__(self):
         if len(self.h) != DIM + 1 or any(len(r) != DIM + 1 for r in self.h):
             raise InvalidArgument("expected a 5x5 grid")
-        if any(not isinstance(x, int) or x < 0 for r in self.h for x in r):
+        _require(int, "Hodge numbers", [x for r in self.h for x in r])
+        if any(x < 0 for r in self.h for x in r):
             raise InvalidArgument("Hodge numbers are nonnegative integers")
         for p in range(DIM + 1):
             for q in range(DIM + 1):

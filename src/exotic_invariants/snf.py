@@ -32,11 +32,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import gcd
 from operator import mul
 
-from .errors import InvalidArgument
+from .errors import InvalidArgument, _require
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ class IntMatrix:
             raise InvalidArgument(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
-        if not all(map(isinstance, self.entries, repeat(int))):
-            raise InvalidArgument("entries must be integers")
+        _require(int, "entries", self.entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -128,8 +127,7 @@ class IntMatrix:
 
 
 def _check_dims(rows: int, cols: int) -> None:
-    if not (isinstance(rows, int) and isinstance(cols, int)):
-        raise InvalidArgument("matrix dimensions must be integers")
+    _require(int, "matrix dimensions", (rows, cols))
     if rows < 0 or cols < 0:
         raise InvalidArgument("matrix dimensions must be nonnegative")
 
@@ -399,8 +397,10 @@ def _bareiss(M: IntMatrix):
     Scaling keeps zeros at zero, so the zero tests may read the stored
     entries.  A banded input of width w thus costs about n w^2
     big-integer updates, where rescaling every row below the pivot took
-    n^3.
+    n^3.  Its check that M is an IntMatrix is the one that `rank`,
+    `determinant`, `invariant_factors` and the abelian cokernel and kernel make.
     """
+    _require(IntMatrix, "matrix", (M,))
     a = M.to_lists()
     level = [0] * M.rows
     pivots = [1]
@@ -457,7 +457,7 @@ def determinant(M: IntMatrix) -> int:
     >>> determinant(IntMatrix.from_rows([[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [1, 0, 0, 2]]))
     45
     """
+    r, d = _bareiss(M)
     if M.rows != M.cols:
         raise InvalidArgument("determinant needs a square matrix")
-    r, d = _bareiss(M)
     return d if r == M.rows else 0

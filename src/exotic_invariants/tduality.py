@@ -16,7 +16,7 @@ from math import gcd
 
 from .abelian import AbelianGroup
 from .bundles import MilnorBundle
-from .errors import DegenerateInput, InvalidArgument, NotPrincipal
+from .errors import DegenerateInput, NotPrincipal, _require
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class FluxedBundle:
     flux: int
 
     def __post_init__(self):
-        if not isinstance(self.flux, int):
-            raise InvalidArgument("flux class must be an integer")
+        _require(int, "flux class", (self.flux,))
 
     def __str__(self):
         return f"({self.bundle}, [{self.flux}])"
@@ -64,6 +63,7 @@ def correspondence_h7(m: int, j: int) -> AbelianGroup:
 
     Equals Z plus a cyclic factor of order gcd(|m|, |j|).
     """
+    _require(int, "classifying integers", (m, j))
     if m == 0 and j == 0:
         raise DegenerateInput("correspondence space needs m, j not both zero")
     return AbelianGroup.from_orders(1, [gcd(abs(m), abs(j))])
@@ -75,6 +75,7 @@ def lifted_flux(m: int, j: int) -> int:
     Both fluxes lift to j*m / gcd(|j|, |m|) on the free part of H^7, which
     is the consistency condition making the pair an honest dual pair.
     """
+    _require(int, "classifying integers", (m, j))
     if m == 0 and j == 0:
         raise DegenerateInput("lifted flux needs m, j not both zero")
     return (j * m) // gcd(abs(j), abs(m))

@@ -1,5 +1,7 @@
-"""Factories and constructors reject non-integers instead of truncating them,
-and every other argument check raises its documented exception."""
+"""Factories, constructors and functions reject non-integers and values of
+the wrong library type with InvalidArgument, instead of truncating them or
+failing inside, and every other argument check raises its documented
+exception."""
 
 from fractions import Fraction
 
@@ -11,13 +13,17 @@ from exotic_invariants.abelian import (
     Z,
     AbelianGroup,
     GradedGroups,
+    cokernel_group,
     divisibility_chain,
+    kernel_group,
     sphere_cohomology,
+    tensor_and_tor,
 )
 from exotic_invariants.brieskorn import (
     BrieskornPham,
     MilnorLattice,
     Spectrum,
+    milnor_family,
     milnor_lattice,
     spectrum,
 )
@@ -28,12 +34,14 @@ from exotic_invariants.groups import (
     RepClass,
     Theta7Element,
     de_sapio_steps,
+    family_weights,
+    is_orbifold_rep,
     link_isotropies,
     theta7,
 )
-from exotic_invariants.hodge import HodgeDiamond
-from exotic_invariants.snf import IntMatrix, determinant, smith_normal_form
-from exotic_invariants.tduality import FluxedBundle
+from exotic_invariants.hodge import HodgeDiamond, branch_of_euler
+from exotic_invariants.snf import IntMatrix, determinant, rank, smith_normal_form
+from exotic_invariants.tduality import FluxedBundle, correspondence_h7, lifted_flux
 
 BUILDERS = {
     "IntMatrix": lambda x: IntMatrix(1, 2, (x, 1)),
@@ -44,8 +52,8 @@ BUILDERS = {
     "AbelianGroup free rank": lambda x: AbelianGroup(x, ()),
     "AbelianGroup torsion": lambda x: AbelianGroup(0, (x,)),
     "AbelianGroup.from_orders free rank": lambda x: AbelianGroup.from_orders(x),
-    "AbelianGroup.from_orders orders": lambda x: AbelianGroup.from_orders(0, [x + 2, 6]),
-    "divisibility_chain": lambda x: divisibility_chain([x + 2, 6]),
+    "AbelianGroup.from_orders orders": lambda x: AbelianGroup.from_orders(0, [x, 6]),
+    "divisibility_chain": lambda x: divisibility_chain([x, 6]),
     "HodgeDiamond.from_entries": lambda x: HodgeDiamond.from_entries({(0, 0): x, (4, 4): x}),
     "GradedGroups": lambda x: GradedGroups({x: Z}),
     "GroupConfig order": lambda x: GroupConfig(order=x),
@@ -56,10 +64,22 @@ BUILDERS = {
     "RepClass exponent": lambda x: RepClass(x),
     "link_isotropies l": lambda x: link_isotropies(1, x),
     "Theta7Element residue": lambda x: Theta7Element(x),
+    "correspondence_h7 m": lambda x: correspondence_h7(x, 4),
+    "lifted_flux m": lambda x: lifted_flux(x, 4),
+    "branch_of_euler": lambda x: branch_of_euler(x),
+    "milnor_family": lambda x: milnor_family(x),
+    "family_weights": lambda x: family_weights(x),
+    "cokernel_group": lambda x: cokernel_group(x),
+    "kernel_group": lambda x: kernel_group(x),
+    "rank": lambda x: rank(x),
+    "determinant": lambda x: determinant(x),
+    "is_orbifold_rep": lambda x: is_orbifold_rep(x),
+    "de_sapio_steps target": lambda x: de_sapio_steps(theta7(1), theta7(2), x),
 }
 
 
-@pytest.mark.parametrize("value", [2.5, Fraction(5, 2)], ids=str)
+# Z is a library value of the wrong type for every entry of BUILDERS.
+@pytest.mark.parametrize("value", [2.5, Fraction(5, 2), "3", None, Z], ids=str)
 @pytest.mark.parametrize("build", BUILDERS.values(), ids=list(BUILDERS))
 def test_non_integers_are_rejected(build, value):
     with pytest.raises(InvalidArgument):
@@ -75,6 +95,10 @@ def test_bools_pass_as_integers():
     assert IntMatrix(True, 2, (1, 2)).to_lists() == [[1, 2]]
     assert IntMatrix.zero(True, False).rows == 1
     assert IntMatrix.identity(True).entries == (1,)
+    assert branch_of_euler(True) == branch_of_euler(1)
+    assert milnor_family(True) == milnor_family(1)
+    assert lifted_flux(True, 4) == lifted_flux(1, 4)
+    assert AbelianGroup.from_orders(True, [False]) == AbelianGroup.free(2)
 
 
 HALF = Fraction(1, 2)
@@ -117,6 +141,22 @@ REJECTED = {
     ),
     "sphere_cohomology negative": (lambda: sphere_cohomology(-1), InvalidArgument),
     "GradedGroups non-group value": (lambda: GradedGroups({0: 5}), InvalidArgument),
+    "correspondence_h7 float": (lambda: correspondence_h7(2.5, 4), InvalidArgument),
+    "lifted_flux float": (lambda: lifted_flux(2.5, 4), InvalidArgument),
+    "tensor_and_tor int": (lambda: tensor_and_tor(5, Z), InvalidArgument),
+    "tensor_and_tor str": (lambda: tensor_and_tor(Z, "3"), InvalidArgument),
+    "cokernel_group list": (lambda: cokernel_group([[1, 2]]), InvalidArgument),
+    "kernel_group list": (lambda: kernel_group([[1, 2]]), InvalidArgument),
+    "is_orbifold_rep float": (lambda: is_orbifold_rep(2.5), InvalidArgument),
+    "de_sapio_steps float": (
+        lambda: de_sapio_steps(theta7(1), theta7(2), 2.5),
+        InvalidArgument,
+    ),
+    "branch_of_euler float": (lambda: branch_of_euler(2.5), InvalidArgument),
+    "milnor_family float": (lambda: milnor_family(2.5), InvalidArgument),
+    "family_weights float": (lambda: family_weights(2.5), InvalidArgument),
+    "AbelianGroup.from_orders str": (lambda: AbelianGroup.from_orders("3"), InvalidArgument),
+    "AbelianGroup.from_orders None": (lambda: AbelianGroup.from_orders(None), InvalidArgument),
 }
 
 
