@@ -6,6 +6,8 @@ The polynomials u^{6k-1} + v^3 + z0^2 + z1^2 + z2^2 cut out homotopy
 weighted-projective data, spectra, and intersection lattices.
 """
 
+from fractions import Fraction
+
 from exotic_invariants import (
     BrieskornPham,
     canonical_type_from_weights,
@@ -31,9 +33,10 @@ for k in (1, 2, 3):
 print()
 print("Spectrum of the k = 1 member")
 print("----------------------------")
-sp = spectrum(milnor_family(1))
-print("values:", " ".join(str(v) for v in sp.values))
-print("least element:", sp.minimum, "(equals the sum of reciprocal exponents)")
+ell, nums = spectrum(milnor_family(1))
+values = [Fraction(x, ell) for x in nums]
+print("values:", " ".join(str(v) for v in values))
+print("least element:", values[0], "(equals the sum of reciprocal exponents)")
 print("greater than 1, so the quotient orbifold is Fano")
 
 print()

@@ -23,7 +23,6 @@ from .brieskorn import (
     BrieskornPham,
     CanonicalType,
     MilnorLattice,
-    Spectrum,
     canonical_type_from_weights,
     in_sphere_link_family,
     milnor_family,

@@ -13,6 +13,7 @@ C2 x C12
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd
 
@@ -48,7 +49,8 @@ class AbelianGroup:
 
     def __post_init__(self):
         chain = self.torsion
-        _require(int, "free rank and torsion orders", (self.free_rank, *chain))
+        _require(int, "free rank", (self.free_rank,))
+        _require(int, "torsion orders", chain)
         if self.free_rank < 0:
             raise InvalidArgument("free rank must be a nonnegative integer")
         if chain and min(chain) < 2:
@@ -156,7 +158,9 @@ class GradedGroups:
     """
 
     def __init__(self, groups=None):
-        groups = dict(groups or {})
+        groups = groups or {}
+        _require(Iterable, "graded groups", (groups,))
+        groups = dict(groups)
         _require(int, "degrees", groups)
         _require(AbelianGroup, "graded groups", groups.values())
         if any(degree < 0 for degree in groups):

@@ -1,13 +1,13 @@
 """Invariants of Brieskorn-Pham singularities x0^a0 + ... + xn^an.
 
-All numeric output is exact: integers for lattice data, Fractions for the
-spectrum and the Gorenstein parameter.  The distinguished-basis
-intersection rule is applied exactly as stated for the defining tensor
-decomposition: the pairing of two basis vectors is the product of the
-single-variable pairings when the index tuples are comparable
-componentwise, and zero otherwise.  (For incomparable tuples this differs
-from the multiplicative Euler form of the tensor category; no correction
-is applied.)
+All numeric output is exact: integers for lattice data, the spectrum as
+sorted integer numerators over the weighted degree ell, and a Fraction for
+the Gorenstein parameter.  The distinguished-basis intersection rule is
+applied exactly as stated for the defining tensor decomposition: the
+pairing of two basis vectors is the product of the single-variable
+pairings when the index tuples are comparable componentwise, and zero
+otherwise.  (For incomparable tuples this differs from the multiplicative
+Euler form of the tensor category; no correction is applied.)
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, product, starmap
+from itertools import product
 from math import comb, lcm
-from operator import gt, is_not
 
 from .errors import InvalidArgument, OutOfFamily, _require
 from .snf import IntMatrix, _trusted
@@ -70,9 +69,9 @@ class BrieskornPham:
     exponents: tuple
 
     def __post_init__(self):
+        _require(int, "exponents", self.exponents)
         if len(self.exponents) < 1:
             raise InvalidArgument("need at least one exponent")
-        _require(int, "exponents", self.exponents)
         if any(a < 2 for a in self.exponents):
             raise InvalidArgument("exponents must all be >= 2")
 
@@ -101,32 +100,6 @@ class MilnorLattice:
     @property
     def rank(self) -> int:
         return len(self.index_set)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Sorted multiset of rational singularity exponents.
-
-    `Spectrum(...)` checks that the values are sorted; `spectrum` makes
-    its value through `snf._trusted` without the check, since it sorted
-    the integer numerators itself.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        # A run of one repeated object is sorted, so only adjacent values
-        # that are different objects are compared.
-        v = self.values
-        if any(starmap(gt, compress(zip(v, v[1:]), map(is_not, v, v[1:])))):
-            raise InvalidArgument("spectrum values must be sorted")
-
-    @property
-    def minimum(self) -> Fraction:
-        return self.values[0]
-
-    def __len__(self):
-        return len(self.values)
 
 
 class CanonicalType(str, Enum):
@@ -199,33 +172,17 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     return MilnorLattice(index_set, _trusted(IntMatrix, size, size, tuple(flat)))
 
 
-def spectrum(bp: BrieskornPham) -> Spectrum:
-    """Multiset of weights sum((k_i + 1) / a_i) over the monomial basis.
-
-    The least element is sum(1 / a_i), attained at the constant monomial.
-    The values are the sorted numerators of `spectrum_numerators` over
-    their common denominator ell, with one Fraction shared by all equal
-    numerators.  Refuses, with InvalidArgument, more than MAX_ENTRIES
-    values.
-
-    >>> [str(v) for v in spectrum(BrieskornPham.of(3, 3)).values]
-    ['2/3', '1', '1', '4/3']
-    """
-    ell, nums = spectrum_numerators(bp)
-    frac = {x: Fraction(x, ell) for x in set(nums)}
-    return _trusted(Spectrum, tuple(map(frac.__getitem__, nums)))
-
-
-def spectrum_numerators(bp: BrieskornPham):
-    """(ell, nums): the spectrum of bp as integer numerators over one
-    denominator.
+def spectrum(bp: BrieskornPham):
+    """(ell, nums): the spectrum of bp, the weights sum((k_i + 1) / a_i)
+    over the monomial basis, as integer numerators over one denominator.
 
     With (ell, w) from weights_and_degree, the weight of the monomial
     with exponents k_i is sum(w_i * (k_i + 1)) / ell; nums lists these
-    numerators sorted, one per basis monomial.  Refuses, with
+    numerators sorted, one per basis monomial.  The least, sum(w_i), is
+    ell * sum(1 / a_i), at the constant monomial.  Refuses, with
     InvalidArgument, more than MAX_ENTRIES values, before computing any.
 
-    >>> spectrum_numerators(BrieskornPham.of(3, 3))
+    >>> spectrum(BrieskornPham.of(3, 3))
     (3, [2, 3, 3, 4])
     """
     _check_size(bp, "spectrum", milnor_number(bp))
@@ -242,6 +199,9 @@ def weights_and_degree(bp: BrieskornPham):
 
     These grade the coordinate ring so the defining polynomial is weighted
     homogeneous of degree ell.
+
+    >>> weights_and_degree(BrieskornPham.of(5, 3, 2, 2, 2))
+    (30, (6, 10, 15, 15, 15))
     """
     ell = lcm(*bp.exponents)
     return ell, tuple(ell // a for a in bp.exponents)

@@ -194,7 +194,7 @@ def spectrum_json(bp: bk.BrieskornPham) -> list:
     integer numerators: x over ell in lowest terms is x // g over ell // g
     with g = gcd(x, ell), as `rational_str` writes the Fraction.  Equal
     numerators are adjacent, so each run of them is written once."""
-    ell, nums = bk.spectrum_numerators(bp)
+    ell, nums = bk.spectrum(bp)
     texts = []
     last = text = None
     for x in nums:

@@ -27,7 +27,9 @@ NONUNIT = "nonunit"
 
 
 def betti_vector(branch: str) -> tuple:
-    """b_0..b_8 used in the diamond constraints for the given branch."""
+    """The paper's b_0..b_8 for the given branch, used in the diamond
+    constraints.  On the nonunit branch they are not the free ranks of
+    `hopf_manifold_cohomology`; see there."""
     if branch == UNIT:
         return (1, 1, 0, 0, 0, 0, 0, 1, 1)
     if branch == NONUNIT:
@@ -110,6 +112,13 @@ def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
     against H^1 of the circle, in degree 5 as well.  (Closed-form tables
     that list only degree 4 torsion drop that degree-5 term; this function
     reports the full product answer.)
+
+    Paper's rule against the standard one: the free ranks agree with
+    `betti_vector(UNIT)` on the unit branch, but not with the paper's
+    `betti_vector(NONUNIT)`, whose b4 is 1.  For |k| >= 2 degree 4 is
+    torsion only, so b4 = 0; for k = 0, M(m, -m) x S^1 has
+    (b3, b4, b5) = (1, 2, 1).  Both are kept as they are; the diamond
+    constraints use the paper's vector.
     """
     total = bundle_cohomology(MilnorBundle(m, k - m))
     return kunneth(total, sphere_cohomology(1))

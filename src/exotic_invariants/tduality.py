@@ -25,6 +25,7 @@ class FluxedBundle:
     flux: int
 
     def __post_init__(self):
+        _require(MilnorBundle, "bundle", (self.bundle,))
         _require(int, "flux class", (self.flux,))
 
     def __str__(self):

@@ -17,7 +17,6 @@ from exotic_invariants.brieskorn import (
     milnor_lattice,
     milnor_number,
     spectrum,
-    spectrum_numerators,
     weights_and_degree,
 )
 from exotic_invariants.errors import InvalidArgument, OutOfFamily
@@ -125,37 +124,45 @@ def test_lattice_index_set_lex_sorted():
     assert lat.index_set == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
+def spectrum_values(bp):
+    """The spectrum of bp as Fractions over its weighted degree."""
+    ell, nums = spectrum(bp)
+    return tuple(Fraction(x, ell) for x in nums)
+
+
 def test_spectrum_examples():
-    sp = spectrum(BrieskornPham.of(2, 2, 2))
-    assert sp.values == (Fraction(3, 2),)
-    sp = spectrum(BrieskornPham.of(5, 3, 2, 2, 2))
-    assert sp.minimum == Fraction(61, 30)
-    sp = spectrum(BrieskornPham.of(3, 3))
-    assert sp.values == (Fraction(2, 3), Fraction(1), Fraction(1), Fraction(4, 3))
+    assert spectrum(BrieskornPham.of(2, 2, 2)) == (2, [3])
+    assert spectrum(BrieskornPham.of(3, 3)) == (3, [2, 3, 3, 4])
+    assert spectrum_values(BrieskornPham.of(5, 3, 2, 2, 2))[0] == Fraction(61, 30)
+    assert spectrum_values(BrieskornPham.of(3, 3)) == (
+        Fraction(2, 3), Fraction(1), Fraction(1), Fraction(4, 3)
+    )
 
 
 @given(exponent_vectors)
 @settings(max_examples=60)
 def test_spectrum_properties(exps):
     bp = BrieskornPham(exps)
-    sp = spectrum(bp)
-    assert len(sp) == milnor_number(bp)
-    assert sp.minimum == sum(Fraction(1, a) for a in exps)
+    ell, nums = spectrum(bp)
+    assert (ell, len(nums)) == (weights_and_degree(bp)[0], milnor_number(bp))
+    assert nums == sorted(nums)
+    values = spectrum_values(bp)
+    assert values[0] == sum(Fraction(1, a) for a in exps)
     top = Fraction(len(exps))
-    assert tuple(sorted(top - v for v in sp.values)) == sp.values
+    assert tuple(sorted(top - v for v in values)) == values
 
 
 @given(exponent_vectors)
 @settings(max_examples=60)
 def test_spectrum_matches_fraction_sum_oracle(exps):
-    assert spectrum(BrieskornPham(exps)).values == fraction_sum_spectrum(exps)
+    assert spectrum_values(BrieskornPham(exps)) == fraction_sum_spectrum(exps)
 
 
 def test_size_guard_refuses_before_allocating(monkeypatch):
     # The guard is tested with a low limit; nothing of the refused size is built.
     monkeypatch.setattr(brieskorn, "MAX_ENTRIES", 16)
     assert milnor_lattice(BrieskornPham.of(3, 3)).rank == 4  # 16 entries
-    assert len(spectrum(BrieskornPham.of(5, 5))) == 16
+    assert len(spectrum(BrieskornPham.of(5, 5))[1]) == 16
     monkeypatch.setattr(brieskorn, "MAX_ENTRIES", 15)
     with pytest.raises(InvalidArgument):
         spectrum(BrieskornPham.of(5, 5))
@@ -167,8 +174,6 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(brieskorn, "weights_and_degree", None)  # runs before the spectrum's
     with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
         spectrum(BrieskornPham.of(5, 6))
-    with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
-        spectrum_numerators(BrieskornPham.of(5, 6))
 
 
 def test_size_limit_admits_the_family_lattices():

@@ -22,10 +22,8 @@ from exotic_invariants.abelian import (
 from exotic_invariants.brieskorn import (
     BrieskornPham,
     MilnorLattice,
-    Spectrum,
     milnor_family,
     milnor_lattice,
-    spectrum,
 )
 from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
@@ -61,6 +59,7 @@ BUILDERS = {
     "MilnorBundle m": lambda x: MilnorBundle(x, 0),
     "MilnorBundle n": lambda x: MilnorBundle(0, x),
     "FluxedBundle flux": lambda x: FluxedBundle(MilnorBundle(1, 0), x),
+    "FluxedBundle bundle": lambda x: FluxedBundle(x, 1),
     "RepClass exponent": lambda x: RepClass(x),
     "link_isotropies l": lambda x: link_isotropies(1, x),
     "Theta7Element residue": lambda x: Theta7Element(x),
@@ -93,6 +92,7 @@ def test_bools_pass_as_integers():
     assert link_isotropies(1, True) == link_isotropies(1, 1)
     assert theta7(True).residue == 1
     assert IntMatrix(True, 2, (1, 2)).to_lists() == [[1, 2]]
+    assert IntMatrix(1, 2, (True, False)).entries == (True, False)
     assert IntMatrix.zero(True, False).rows == 1
     assert IntMatrix.identity(True).entries == (1,)
     assert branch_of_euler(True) == branch_of_euler(1)
@@ -100,8 +100,6 @@ def test_bools_pass_as_integers():
     assert lifted_flux(True, 4) == lifted_flux(1, 4)
     assert AbelianGroup.from_orders(True, [False]) == AbelianGroup.free(2)
 
-
-HALF = Fraction(1, 2)
 
 REJECTED = {
     "IntMatrix negative rows": (lambda: IntMatrix(-1, 0, ()), InvalidArgument),
@@ -123,14 +121,6 @@ REJECTED = {
     ),
     "MilnorLattice diagonal last": (
         lambda: MilnorLattice(((0,), (1,)), IntMatrix.from_diagonal([2, 1])),
-        InvalidArgument,
-    ),
-    "Spectrum unsorted": (
-        lambda: Spectrum((Fraction(1, 2), Fraction(1, 3))),
-        InvalidArgument,
-    ),
-    "Spectrum unsorted after a run of one object": (
-        lambda: Spectrum((HALF, HALF, HALF, Fraction(1, 3))),
         InvalidArgument,
     ),
     "IntMatrix float last": (lambda: IntMatrix(1, 3, (1, 2, 3.0)), InvalidArgument),
@@ -157,6 +147,10 @@ REJECTED = {
     "family_weights float": (lambda: family_weights(2.5), InvalidArgument),
     "AbelianGroup.from_orders str": (lambda: AbelianGroup.from_orders("3"), InvalidArgument),
     "AbelianGroup.from_orders None": (lambda: AbelianGroup.from_orders(None), InvalidArgument),
+    "FluxedBundle int bundle": (lambda: FluxedBundle(5, 1), InvalidArgument),
+    "BrieskornPham int exponents": (lambda: BrieskornPham(5), InvalidArgument),
+    "AbelianGroup int torsion": (lambda: AbelianGroup(0, 5), InvalidArgument),
+    "GradedGroups int": (lambda: GradedGroups(5), InvalidArgument),
 }
 
 
@@ -164,13 +158,6 @@ REJECTED = {
 def test_invalid_arguments_are_rejected(build, error):
     with pytest.raises(error):
         build()
-
-
-def test_bool_entries_and_equal_distinct_spectrum_values_pass():
-    assert IntMatrix(1, 2, (True, False)).entries == (True, False)
-    a, b = Fraction(1, 2), Fraction(1, 2)
-    assert a is not b
-    assert Spectrum((a, b, Fraction(2, 3))).values == (HALF, HALF, Fraction(2, 3))
 
 
 # The library builds these values without its public checks; rebuilding
@@ -201,14 +188,12 @@ def test_library_built_matrices_pass_the_public_checks(pair, n, k):
 
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple))
 @settings(max_examples=50)
-def test_library_built_lattices_and_spectra_pass_the_public_checks(exps):
+def test_library_built_lattices_pass_the_public_checks(exps):
     bp = BrieskornPham(exps)
     lat = milnor_lattice(bp)
     g = lat.gram
     assert IntMatrix(g.rows, g.cols, g.entries) == g
     assert MilnorLattice(lat.index_set, lat.gram) == lat
-    sp = spectrum(bp)
-    assert Spectrum(sp.values) == sp
 
 
 def test_empty_matrix_determinant_is_one():

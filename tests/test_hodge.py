@@ -166,6 +166,21 @@ def test_hopf_manifold_cohomology():
     )
 
 
+def test_free_ranks_differ_from_the_paper_betti_vector_off_the_unit_branch():
+    def free_ranks(m, k):
+        coh = hopf_manifold_cohomology(m, k)
+        return tuple(coh[d].free_rank for d in range(9))
+
+    for m, k in ((1, 1), (4, -1), (0, 1)):
+        assert free_ranks(m, k) == betti_vector(UNIT)
+    assert betti_vector(NONUNIT) == (1, 1, 0, 0, 1, 0, 0, 1, 1)
+    for m, k in ((2, 5), (0, 2), (3, -4)):
+        assert branch_of_euler(k) == NONUNIT
+        assert free_ranks(m, k) == (1, 1, 0, 0, 0, 0, 0, 1, 1)  # b4 = 0
+    for m in (0, 3, -2):
+        assert free_ranks(m, 0) == (1, 1, 0, 1, 2, 1, 0, 1, 1)  # (b3, b4, b5) = (1, 2, 1)
+
+
 def test_triangle_layout_rows():
     rows = mall_diamond().triangle().splitlines()
     assert rows[0].strip() == "1"
