@@ -24,6 +24,7 @@ from exotic_invariants.brieskorn import (
     MilnorLattice,
     milnor_family,
     milnor_lattice,
+    spectrum,
 )
 from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
@@ -92,7 +93,6 @@ def test_bools_pass_as_integers():
     assert link_isotropies(1, True) == link_isotropies(1, 1)
     assert theta7(True).residue == 1
     assert IntMatrix(True, 2, (1, 2)).to_lists() == [[1, 2]]
-    assert IntMatrix(1, 2, (True, False)).entries == (True, False)
     assert IntMatrix.zero(True, False).rows == 1
     assert IntMatrix.identity(True).entries == (1,)
     assert branch_of_euler(True) == branch_of_euler(1)
@@ -158,6 +158,13 @@ REJECTED = {
 def test_invalid_arguments_are_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_bool_entries_and_equal_distinct_spectrum_values_pass():
+    assert IntMatrix(1, 2, (True, False)).entries == (True, False)
+    # x*y^0 and x^0*y are distinct basis monomials of equal weight 3/3;
+    # the spectrum keeps both.
+    assert spectrum(BrieskornPham.of(3, 3)) == (3, [2, 3, 3, 4])
 
 
 # The library builds these values without its public checks; rebuilding
