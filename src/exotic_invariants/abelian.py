@@ -3,7 +3,12 @@
 A group is stored in its canonical shape: a free rank plus a torsion chain
 d1 | d2 | ... with every d >= 2.  Arbitrary lists of cyclic orders are
 normalized by the gcd/lcm exchanges of `divisibility_chain`, so structural
-equality of the stored data is group isomorphism.
+equality of the stored data is group isomorphism.  The public constructors
+check what a caller passes; the groups the library builds itself
+(`from_orders`, `cokernel_group`, `kernel_group`) are made through
+`snf._trusted` from inputs checked once.  `kunneth` gathers the cyclic
+orders of each degree and normalizes them once, with one `from_orders`
+per degree.
 
 >>> AbelianGroup.from_orders(0, [2, 3]) == AbelianGroup.from_orders(0, [6])
 True
@@ -13,12 +18,12 @@ C2 x C12
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import defaultdict
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import InvalidArgument, _require
-from .snf import IntMatrix, _gcd_lcm_exchange, invariant_factors, rank
+from .errors import InvalidArgument, _require, _tuple_of
+from .snf import IntMatrix, _gcd_lcm_exchange, _trusted, invariant_factors, rank
 
 
 def divisibility_chain(orders) -> tuple:
@@ -48,9 +53,9 @@ class AbelianGroup:
     torsion: tuple
 
     def __post_init__(self):
-        chain = self.torsion
         _require(int, "free rank", (self.free_rank,))
-        _require(int, "torsion orders", chain)
+        chain = _tuple_of(int, "torsion orders", self.torsion)
+        object.__setattr__(self, "torsion", chain)
         if self.free_rank < 0:
             raise InvalidArgument("free rank must be a nonnegative integer")
         if chain and min(chain) < 2:
@@ -67,9 +72,10 @@ class AbelianGroup:
         """
         orders = list(orders)
         _require(int, "free rank and orders", (free_rank, *orders))
-        free_rank += sum(1 for d in orders if d == 0)
-        finite = [abs(d) for d in orders if d != 0 and abs(d) != 1]
-        return cls(free_rank, divisibility_chain(finite))
+        if free_rank < 0:
+            raise InvalidArgument("free rank must be a nonnegative integer")
+        finite = [abs(d) for d in orders if abs(d) > 1]
+        return _trusted(cls, free_rank + orders.count(0), divisibility_chain(finite))
 
     @classmethod
     def free(cls, rank: int) -> "AbelianGroup":
@@ -116,38 +122,34 @@ def cokernel_group(M: IntMatrix) -> AbelianGroup:
     Z
     """
     diag = invariant_factors(M)
-    return AbelianGroup(M.rows - sum(1 for x in diag if x), tuple(x for x in diag if x >= 2))
+    return _trusted(AbelianGroup, M.rows - sum(map(bool, diag)), tuple(x for x in diag if x >= 2))
 
 
 def kernel_group(M: IntMatrix) -> AbelianGroup:
     """Kernel of M acting on Z^cols; always free."""
     r = rank(M)  # checks M before M.cols is read
-    return AbelianGroup.free(M.cols - r)
+    return _trusted(AbelianGroup, M.cols - r, ())
 
 
 def tensor_and_tor(a: AbelianGroup, b: AbelianGroup):
     """(a tensor b, Tor(a, b)), extended additively over the summands.
-
-    The cyclic rules are Z (x) G = G, Z/p (x) Z/q = Z/gcd(p,q),
-    Tor(Z, G) = 0 and Tor(Z/p, Z/q) = Z/gcd(p,q).
 
     >>> t, tor = tensor_and_tor(AbelianGroup.cyclic(4), AbelianGroup.cyclic(6))
     >>> print(t, "|", tor)
     C2 | C2
     """
     _require(AbelianGroup, "groups", (a, b))
-    tensor_orders = []
-    tensor_orders.extend(list(b.torsion) * a.free_rank)
-    tensor_orders.extend(list(a.torsion) * b.free_rank)
-    tor_orders = []
-    for p in a.torsion:
-        for q in b.torsion:
-            g = gcd(p, q)
-            tensor_orders.append(g)
-            tor_orders.append(g)
-    tensor = AbelianGroup.from_orders(a.free_rank * b.free_rank, tensor_orders)
-    tor = AbelianGroup.from_orders(0, tor_orders)
-    return tensor, tor
+    tensor, tor = _cyclic_products(a, b)
+    return AbelianGroup.from_orders(0, tensor), AbelianGroup.from_orders(0, tor)
+
+
+def _cyclic_products(a: AbelianGroup, b: AbelianGroup):
+    """(tensor orders, Tor orders) of a and b, cyclic orders with 0 for Z,
+    by the cyclic rules Z (x) G = G, Z/p (x) Z/q = Z/gcd(p,q), Tor(Z, G) = 0
+    and Tor(Z/p, Z/q) = Z/gcd(p,q), summand by summand."""
+    tor = [gcd(p, q) for p in a.torsion for q in b.torsion]
+    tensor = [*b.torsion] * a.free_rank + [*a.torsion] * b.free_rank
+    return [0] * (a.free_rank * b.free_rank) + tensor + tor, tor
 
 
 class GradedGroups:
@@ -158,9 +160,10 @@ class GradedGroups:
     """
 
     def __init__(self, groups=None):
-        groups = groups or {}
-        _require(Iterable, "graded groups", (groups,))
-        groups = dict(groups)
+        try:
+            groups = dict(groups or {})
+        except (TypeError, ValueError) as err:
+            raise InvalidArgument(f"graded groups need (degree, group) pairs: {err}") from None
         _require(int, "degrees", groups)
         _require(AbelianGroup, "graded groups", groups.values())
         if any(degree < 0 for degree in groups):
@@ -202,20 +205,17 @@ def kunneth(a: GradedGroups, b: GradedGroups) -> GradedGroups:
     """Graded groups of a product space from those of the factors.
 
     Degree n collects the tensor terms of total degree n and the Tor terms
-    of total degree n - 1.
+    of total degree n - 1, as cyclic orders normalized once per degree.
 
     >>> k = kunneth(sphere_cohomology(7), sphere_cohomology(1))
     >>> k.degrees()
     [0, 1, 7, 8]
     """
-    out = {}
+    _require(GradedGroups, "graded groups", (a, b))
+    orders = defaultdict(list)
     for p, ap in a.items():
         for q, bq in b.items():
-            tensor, tor = tensor_and_tor(ap, bq)
-            if not tensor.is_trivial:
-                n = p + q
-                out[n] = out.get(n, TRIVIAL).direct_sum(tensor)
-            if not tor.is_trivial:
-                n = p + q + 1
-                out[n] = out.get(n, TRIVIAL).direct_sum(tor)
-    return GradedGroups(out)
+            tensor, tor = _cyclic_products(ap, bq)
+            orders[p + q] += tensor
+            orders[p + q + 1] += tor
+    return GradedGroups({n: AbelianGroup.from_orders(0, o) for n, o in orders.items() if o})

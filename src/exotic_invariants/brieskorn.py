@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .errors import InvalidArgument, OutOfFamily, _require
+from .errors import InvalidArgument, OutOfFamily, _require, _tuple_of
 from .snf import IntMatrix, _trusted
 
 
@@ -69,7 +69,7 @@ class BrieskornPham:
     exponents: tuple
 
     def __post_init__(self):
-        _require(int, "exponents", self.exponents)
+        object.__setattr__(self, "exponents", _tuple_of(int, "exponents", self.exponents))
         if len(self.exponents) < 1:
             raise InvalidArgument("need at least one exponent")
         if any(a < 2 for a in self.exponents):
@@ -109,6 +109,9 @@ class CanonicalType(str, Enum):
 
 
 def milnor_number(bp: BrieskornPham) -> int:
+    """The rank of the Milnor lattice, the product of the a_i - 1.  Its
+    check on bp is the one that `milnor_lattice` and `spectrum` make."""
+    _require(BrieskornPham, "singularity", (bp,))
     mu = 1
     for a in bp.exponents:
         mu *= a - 1

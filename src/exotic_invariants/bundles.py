@@ -67,6 +67,7 @@ def lambda_invariant(b: MilnorBundle) -> int:
     >>> lambda_invariant(MilnorBundle(1, -2)), lambda_invariant(MilnorBundle(2, -1))
     (1, 1)
     """
+    _require(MilnorBundle, "bundle", (b,))
     if not b.is_homotopy_sphere:
         raise NotHomotopySphere(f"{b} has euler class {b.euler}, not +-1")
     m = (b if b.euler == 1 else b.mirror()).m

@@ -8,6 +8,7 @@ of its parser, to exit status 2.  The type rule is stated once, in
 `_require`: an integer argument must be an exact int (a bool passes, a
 float or Fraction does not), an argument that is a library value must
 be an instance of its class, and a collection of either must be iterable.
+`_tuple_of` applies it to a collection that a value stores as a tuple.
 """
 
 
@@ -26,6 +27,18 @@ def _require(kind, what, values) -> None:
             raise InvalidArgument(
                 f"{what} must be of type {kind.__name__}, not {type(value).__name__}"
             )
+
+
+def _tuple_of(kind, what, values) -> tuple:
+    """`values` as a tuple, checked by `_require`.  It is read once, so a
+    one-shot iterator is stored whole, not emptied by the check."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        _require(kind, what, values)  # names a non-iterable's type
+        raise
+    _require(kind, what, values)
+    return values
 
 
 class InvalidArgument(ValueError):

@@ -50,7 +50,8 @@ class IntMatrix:
     `transpose`, `@`, the outputs of `smith_normal_form` and the gram of
     `brieskorn.milnor_lattice`) are made through `_trusted` without the
     entry check: those entries are ints by construction, and checking them
-    again took about half the time of a large family lattice.
+    again took about half the time of a large family lattice.  The groups
+    of `abelian` follow the same rule.
     """
 
     rows: int
@@ -139,7 +140,9 @@ def _trusted(cls, *values):
 
     The one route by which the library's own builders make a value that is
     valid by construction, so that its checks run once, on the inputs it
-    was built from.  Values from a caller go through `cls(...)`, which
+    was built from: the matrices here and in `brieskorn.milnor_lattice`,
+    and the groups of `abelian.AbelianGroup.from_orders`, `cokernel_group`
+    and `kernel_group`.  Values from a caller go through `cls(...)`, which
     checks them.
     """
     obj = object.__new__(cls)
@@ -351,6 +354,7 @@ def smith_normal_form(M: IntMatrix):
     row and column of what is left of the block puts a gcd smaller than
     its leading pivot there, and a column addition makes d_i smaller.
     """
+    _require(IntMatrix, "matrix", (M,))
     m, n = M.rows, M.cols
     a = [r + e for r, e in zip(M.to_lists(), IntMatrix.identity(m).to_lists())]
     vt = IntMatrix.identity(n).to_lists()

@@ -6,7 +6,8 @@ hom_dims_product, chain_euler_matrix) gives the chain lattice a_lattice
 as its symmetrised Euler form, a second route to the milnor_lattice gram
 of a single exponent; hopf_hodge_numbers and mall_diamond give the
 standard diamond of S^7 x S^1, which enumerate_admissible_diamonds(UNIT)
-must return.
+must return; kunneth_by_pairs is the product formula one pair of degrees
+at a time, a second route to kunneth.
 """
 
 import json
@@ -14,6 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from exotic_invariants.abelian import TRIVIAL, GradedGroups, tensor_and_tor
 from exotic_invariants.brieskorn import CanonicalType
 from exotic_invariants.errors import InvalidArgument
 from exotic_invariants.hodge import DIM, HodgeDiamond
@@ -264,3 +266,17 @@ def hopf_hodge_numbers(n):
 def mall_diamond():
     """The standard diamond of S^7 x S^1 on the 5x5 grid."""
     return HodgeDiamond.from_entries(hopf_hodge_numbers(DIM))
+
+
+def kunneth_by_pairs(a, b):
+    """The product formula one pair of degrees at a time: the tensor and
+    Tor groups of each pair from tensor_and_tor, folded into degrees p + q
+    and p + q + 1 by direct_sum.  kunneth instead gathers the cyclic orders
+    of each degree and normalizes them once."""
+    out = {}
+    for p, ap in a.items():
+        for q, bq in b.items():
+            tensor, tor = tensor_and_tor(ap, bq)
+            for n, group in ((p + q, tensor), (p + q + 1, tor)):
+                out[n] = out.get(n, TRIVIAL).direct_sum(group)
+    return GradedGroups(out)

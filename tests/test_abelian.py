@@ -13,8 +13,10 @@ from exotic_invariants.abelian import (
     sphere_cohomology,
     tensor_and_tor,
 )
+from exotic_invariants.bundles import MilnorBundle, bundle_cohomology
+from exotic_invariants.hodge import hopf_manifold_cohomology
 from exotic_invariants.snf import IntMatrix
-from oracles import cofactor_determinant
+from oracles import cofactor_determinant, kunneth_by_pairs
 
 
 def groups_strategy():
@@ -128,6 +130,33 @@ def test_kunneth_bundle_times_circle():
             8: Z,
         }
     )
+
+
+@given(graded_strategy(), graded_strategy())
+@settings(max_examples=100)
+def test_kunneth_matches_the_pairwise_fold(a, b):
+    assert kunneth(a, b) == kunneth_by_pairs(a, b)
+
+
+def test_kunneth_trivial_pair_and_point_match_the_pairwise_fold():
+    c2 = GradedGroups({0: AbelianGroup.cyclic(2)})
+    c3 = GradedGroups({0: AbelianGroup.cyclic(3)})
+    # C2 (x) C3 and Tor(C2, C3) are both trivial, so the product is empty.
+    assert kunneth(c2, c3) == kunneth_by_pairs(c2, c3) == GradedGroups()
+    # Tor(C2, C2) = C2 lands one degree up.
+    assert kunneth(c2, c2) == kunneth_by_pairs(c2, c2) == GradedGroups({0: c2[0], 1: c2[0]})
+    point = GradedGroups({0: Z})
+    g = GradedGroups({0: Z, 2: AbelianGroup.from_orders(1, [4, 6]), 5: Z})
+    assert kunneth(point, g) == kunneth_by_pairs(point, g) == g
+    assert kunneth(g, point) == kunneth_by_pairs(g, point) == g
+
+
+def test_hopf_manifold_cohomology_matches_the_pairwise_fold():
+    circle = sphere_cohomology(1)
+    for m in range(-6, 7):
+        for k in range(-6, 7):
+            total = bundle_cohomology(MilnorBundle(m, k - m))
+            assert hopf_manifold_cohomology(m, k) == kunneth_by_pairs(total, circle), (m, k)
 
 
 @given(graded_strategy(), graded_strategy(), graded_strategy())

@@ -2,12 +2,16 @@
 `errors._require`: outside errors.py no library module names the builtin
 `isinstance`, except `GradedGroups.__eq__`, which answers NotImplemented
 to a value of another type, and `cli.run`, which picks the exit status by
-the class of the error."""
+the class of the error.  A request checks its inputs once, not once in
+each module it passes through."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import exotic_invariants
+from exotic_invariants import cli, errors
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 ALLOWED = {("abelian.py", "GradedGroups.__eq__"), ("cli.py", "run")}
@@ -51,3 +55,22 @@ def test_type_checks_live_in_errors_only():
         if (path.name, scope) not in ALLOWED
     ]
     assert found == []
+
+
+def test_a_kunneth_request_checks_its_inputs_once(monkeypatch, capsys):
+    # The bound lies between one normalization per output degree (35
+    # checks) and a group built and re-checked per pair of degrees (105).
+    calls = []
+    require = errors._require
+
+    def counted(*args):
+        calls.append(args)
+        return require(*args)
+
+    for info in pkgutil.iter_modules(exotic_invariants.__path__):
+        module = importlib.import_module(f"exotic_invariants.{info.name}")
+        if hasattr(module, "_require"):
+            monkeypatch.setattr(module, "_require", counted)
+    assert cli.run(["kunneth", "--m", "1", "--k", "3"]) == 0
+    assert "H*(M(1,2) x S^1):" in capsys.readouterr().out
+    assert 0 < len(calls) < 50

@@ -16,17 +16,20 @@ from exotic_invariants.abelian import (
     cokernel_group,
     divisibility_chain,
     kernel_group,
+    kunneth,
     sphere_cohomology,
     tensor_and_tor,
 )
 from exotic_invariants.brieskorn import (
     BrieskornPham,
     MilnorLattice,
+    in_sphere_link_family,
     milnor_family,
     milnor_lattice,
+    milnor_number,
     spectrum,
 )
-from exotic_invariants.bundles import MilnorBundle
+from exotic_invariants.bundles import MilnorBundle, lambda_invariant
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
 from exotic_invariants.groups import (
     GroupConfig,
@@ -151,6 +154,14 @@ REJECTED = {
     "BrieskornPham int exponents": (lambda: BrieskornPham(5), InvalidArgument),
     "AbelianGroup int torsion": (lambda: AbelianGroup(0, 5), InvalidArgument),
     "GradedGroups int": (lambda: GradedGroups(5), InvalidArgument),
+    "GradedGroups list of ints": (lambda: GradedGroups([1, 2]), InvalidArgument),
+    "GradedGroups one-item pair": (lambda: GradedGroups([(0,)]), InvalidArgument),
+    "milnor_number tuple": (lambda: milnor_number((3, 2)), InvalidArgument),
+    "milnor_lattice tuple": (lambda: milnor_lattice((3, 2)), InvalidArgument),
+    "spectrum tuple": (lambda: spectrum((3, 2)), InvalidArgument),
+    "lambda_invariant tuple": (lambda: lambda_invariant((1, 0)), InvalidArgument),
+    "smith_normal_form list": (lambda: smith_normal_form([[1]]), InvalidArgument),
+    "kunneth int": (lambda: kunneth(1, 2), InvalidArgument),
 }
 
 
@@ -165,6 +176,26 @@ def test_bool_entries_and_equal_distinct_spectrum_values_pass():
     # x*y^0 and x^0*y are distinct basis monomials of equal weight 3/3;
     # the spectrum keeps both.
     assert spectrum(BrieskornPham.of(3, 3)) == (3, [2, 3, 3, 4])
+
+
+def test_list_torsion_is_stored_as_a_tuple():
+    g = AbelianGroup(0, [2])
+    assert g.torsion == (2,) and g == AbelianGroup.cyclic(2)
+    assert hash(g) == hash(AbelianGroup.cyclic(2))
+    assert g.direct_sum(Z) == AbelianGroup.from_orders(1, [2])
+    assert AbelianGroup(0, iter([2, 4])).torsion == (2, 4)
+
+
+def test_list_exponents_equal_the_tuple():
+    assert BrieskornPham([5, 3, 2, 2, 2]) == milnor_family(1)
+
+
+def test_list_exponents_are_hashable():
+    assert hash(BrieskornPham([5, 3, 2, 2, 2])) == hash(milnor_family(1))
+
+
+def test_list_exponents_are_in_the_sphere_link_family():
+    assert in_sphere_link_family(BrieskornPham([5, 3, 2, 2, 2]))
 
 
 # The library builds these values without its public checks; rebuilding
@@ -201,6 +232,17 @@ def test_library_built_lattices_pass_the_public_checks(exps):
     g = lat.gram
     assert IntMatrix(g.rows, g.cols, g.entries) == g
     assert MilnorLattice(lat.index_set, lat.gram) == lat
+
+
+@given(chained_pairs, dims, st.lists(st.integers(-12, 12), max_size=4))
+@settings(max_examples=100)
+def test_library_built_groups_pass_the_public_checks(pair, free, orders):
+    a, b = pair
+    g = AbelianGroup.from_orders(free, orders)
+    built = [g, cokernel_group(a), kernel_group(b), *tensor_and_tor(g, cokernel_group(b))]
+    circle = kunneth(GradedGroups({0: g, 1: cokernel_group(a)}), sphere_cohomology(1))
+    for h in built + [group for _, group in circle.items()]:
+        assert AbelianGroup(h.free_rank, h.torsion) == h
 
 
 def test_empty_matrix_determinant_is_one():
