@@ -4,9 +4,10 @@ A group is stored in its canonical shape: a free rank plus a torsion chain
 d1 | d2 | ... with every d >= 2.  Arbitrary lists of cyclic orders are
 normalized by the gcd/lcm exchanges of `divisibility_chain`, so structural
 equality of the stored data is group isomorphism.  The public constructors
-check what a caller passes; the groups the library builds itself
-(`from_orders`, `cokernel_group`, `kernel_group`) are made through
-`snf._trusted` from inputs checked once.  `kunneth` gathers the cyclic
+check what a caller passes; the values the library builds itself (the
+groups of `from_orders`, `cokernel_group` and `kernel_group`, the graded
+groups of `sphere_cohomology` and `kunneth`) are made through
+`errors._trusted` from inputs checked once.  `kunneth` gathers the cyclic
 orders of each degree and normalizes them once, with one `from_orders`
 per degree.
 
@@ -20,10 +21,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
-from .errors import InvalidArgument, _require, _tuple_of
-from .snf import IntMatrix, _gcd_lcm_exchange, _trusted, invariant_factors, rank
+from .errors import InvalidArgument, _require, _trusted, _tuple_of
+from .snf import IntMatrix, _gcd_lcm_exchange, invariant_factors, rank
 
 
 def divisibility_chain(orders) -> tuple:
@@ -94,12 +95,10 @@ class AbelianGroup:
         """Number of elements, or None for infinite groups."""
         if self.free_rank > 0:
             return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return prod(self.torsion)
 
     def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
+        _require(AbelianGroup, "group", (other,))
         return AbelianGroup.from_orders(
             self.free_rank + other.free_rank, self.torsion + other.torsion
         )
@@ -152,53 +151,51 @@ def _cyclic_products(a: AbelianGroup, b: AbelianGroup):
     return [0] * (a.free_rank * b.free_rank) + tensor + tor, tor
 
 
+@dataclass(frozen=True)
 class GradedGroups:
     """A finite map degree -> AbelianGroup; absent degrees are trivial.
 
-    Trivial groups are never stored, so two instances are equal exactly
-    when they describe the same graded object.
+    Built from a mapping or from (degree, group) pairs, and stored as the
+    pairs sorted by degree with trivial groups dropped, so two instances
+    are equal exactly when they describe the same graded object.
     """
 
-    def __init__(self, groups=None):
+    groups: tuple = ()
+
+    def __post_init__(self):
         try:
-            groups = dict(groups or {})
+            groups = dict(self.groups or ())
         except (TypeError, ValueError) as err:
             raise InvalidArgument(f"graded groups need (degree, group) pairs: {err}") from None
         _require(int, "degrees", groups)
         _require(AbelianGroup, "graded groups", groups.values())
         if any(degree < 0 for degree in groups):
             raise InvalidArgument("degrees must be nonnegative integers")
-        self._groups = {d: groups[d] for d in sorted(groups) if not groups[d].is_trivial}
+        pairs = tuple((d, groups[d]) for d in sorted(groups) if not groups[d].is_trivial)
+        object.__setattr__(self, "groups", pairs)
 
     def __getitem__(self, degree: int) -> AbelianGroup:
-        return self._groups.get(degree, TRIVIAL)
+        return dict(self.groups).get(degree, TRIVIAL)
 
     def degrees(self):
-        return list(self._groups)
+        return [d for d, _ in self.groups]
 
     def items(self):
-        return list(self._groups.items())
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedGroups):
-            return NotImplemented
-        return self._groups == other._groups
-
-    def __hash__(self):
-        return hash(tuple(self._groups.items()))
+        return list(self.groups)
 
     def __repr__(self):
-        body = ", ".join(f"{d}: {g}" for d, g in self._groups.items())
+        body = ", ".join(f"{d}: {g}" for d, g in self.groups)
         return f"GradedGroups({{{body}}})"
 
 
 def sphere_cohomology(n: int) -> GradedGroups:
     """H*(S^n); the circle and the point come out right as n = 1, 0 edge cases."""
+    _require(int, "sphere dimension", (n,))
     if n < 0:
         raise InvalidArgument("sphere dimension must be nonnegative")
     if n == 0:
-        return GradedGroups({0: AbelianGroup.free(2)})
-    return GradedGroups({0: Z, n: Z})
+        return _trusted(GradedGroups, ((0, AbelianGroup.free(2)),))
+    return _trusted(GradedGroups, ((0, Z), (n, Z)))
 
 
 def kunneth(a: GradedGroups, b: GradedGroups) -> GradedGroups:
@@ -218,4 +215,5 @@ def kunneth(a: GradedGroups, b: GradedGroups) -> GradedGroups:
             tensor, tor = _cyclic_products(ap, bq)
             orders[p + q] += tensor
             orders[p + q + 1] += tor
-    return GradedGroups({n: AbelianGroup.from_orders(0, o) for n, o in orders.items() if o})
+    pairs = ((n, AbelianGroup.from_orders(0, o)) for n, o in sorted(orders.items()) if o)
+    return _trusted(GradedGroups, tuple((n, g) for n, g in pairs if not g.is_trivial))

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .errors import InvalidArgument, OutOfFamily, _require, _tuple_of
-from .snf import IntMatrix, _trusted
+from .errors import InvalidArgument, OutOfFamily, _require, _trusted, _tuple_of
+from .snf import IntMatrix
 
 
 def _bernoulli(n: int) -> Fraction:
@@ -172,7 +172,7 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
             s = r + offset[e]
             flat[r * size + s] = flat[s * size + r] = value[e]
             e = (e - 1) & free
-    return MilnorLattice(index_set, _trusted(IntMatrix, size, size, tuple(flat)))
+    return _trusted(MilnorLattice, index_set, _trusted(IntMatrix, size, size, tuple(flat)))
 
 
 def spectrum(bp: BrieskornPham):
@@ -206,6 +206,7 @@ def weights_and_degree(bp: BrieskornPham):
     >>> weights_and_degree(BrieskornPham.of(5, 3, 2, 2, 2))
     (30, (6, 10, 15, 15, 15))
     """
+    _require(BrieskornPham, "singularity", (bp,))
     ell = lcm(*bp.exponents)
     return ell, tuple(ell // a for a in bp.exponents)
 
@@ -238,5 +239,6 @@ def milnor_family(k: int) -> BrieskornPham:
 def in_sphere_link_family(bp: BrieskornPham) -> bool:
     """True when the link of bp is one of the 28 homotopy-7-sphere links,
     that is, when bp is milnor_family(k) for the k its first exponent gives."""
+    _require(BrieskornPham, "singularity", (bp,))
     k = (bp.exponents[0] + 1) // 6
     return k in FAMILY_RANGE and bp == milnor_family(k)

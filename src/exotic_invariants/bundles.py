@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, GradedGroups, Z, cokernel_group, kernel_group
-from .errors import InvalidArgument, NotHomotopySphere, _require
+from .errors import InvalidArgument, NotHomotopySphere, _require, _trusted
 from .snf import IntMatrix
 
 
@@ -53,6 +53,7 @@ def canonical_form(b: MilnorBundle) -> MilnorBundle:
 
     Picks one representative per total space; idempotent by construction.
     """
+    _require(MilnorBundle, "bundle", (b,))
     return min(b, b.mirror())
 
 
@@ -82,6 +83,7 @@ def bundle_cohomology(b: MilnorBundle) -> GradedGroups:
     Gysin-sequence solve in gysin_cohomology produces the same answer from
     first principles and is tested against this on a large range of k.
     """
+    _require(MilnorBundle, "bundle", (b,))
     k = b.euler
     groups = {0: Z, 7: Z}
     if k == 0:
@@ -89,7 +91,7 @@ def bundle_cohomology(b: MilnorBundle) -> GradedGroups:
         groups[4] = Z
     elif not b.is_homotopy_sphere:
         groups[4] = AbelianGroup.cyclic(k)
-    return GradedGroups(groups)
+    return _trusted(GradedGroups, tuple(sorted(groups.items())))
 
 
 def gysin_cohomology(b: MilnorBundle) -> GradedGroups:
@@ -105,6 +107,7 @@ def gysin_cohomology(b: MilnorBundle) -> GradedGroups:
     Both cup products are multiplication by k on a rank 0 or 1 lattice, so
     the extension problem is trivial: the kernel part is free and splits.
     """
+    _require(MilnorBundle, "bundle", (b,))
     k = b.euler
 
     def base_rank(d):
@@ -129,6 +132,7 @@ def clutching_compose(t1: MilnorBundle, t2: MilnorBundle) -> MilnorBundle:
 
     x^{m1} (x^{m2} v x^{n2}) x^{n1} = x^{m1+m2} v x^{n2+n1}.
     """
+    _require(MilnorBundle, "bundles", (t1, t2))
     return MilnorBundle(t1.m + t2.m, t1.n + t2.n)
 
 

@@ -4,7 +4,8 @@ Each subcommand's `cmd_*` computes one payload and `run` alone prints it:
 with --json as canonical JSON (keys sorted, two-space indent, no floats,
 rationals as lowest-terms "p/q" strings, so re-serializing the parsed
 output reproduces the bytes), otherwise through the subcommand's `*_table`
-renderer, which reads only the payload.  The --json output is byte-equal
+renderer, which reads only the payload and rebuilds the values it prints
+through `errors._trusted`, unchecked.  The --json output is byte-equal
 to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
 floats).  A list whose items are all exact ints (the type check comes
 first, so True and 2.0 never reach the table) is written as one join of
@@ -36,7 +37,7 @@ from . import groups as gr
 from . import hodge as hg
 from .abelian import AbelianGroup, GradedGroups
 from .bundles import MilnorBundle, bundle_cohomology, canonical_form, lambda_invariant
-from .errors import DomainError, InvalidArgument, OutOfFamily
+from .errors import DomainError, InvalidArgument, OutOfFamily, _trusted
 from .tduality import (
     FluxedBundle,
     correspondence_h7,
@@ -166,11 +167,15 @@ def _emit(value, newline: str, parts: list) -> None:
 
 
 def _group(g: dict) -> AbelianGroup:
-    return AbelianGroup(g["free_rank"], tuple(g["torsion"]))
+    return _trusted(AbelianGroup, g["free_rank"], tuple(g["torsion"]))
+
+
+def _bundle(b: dict) -> MilnorBundle:
+    return _trusted(MilnorBundle, b["m"], b["n"])
 
 
 def _fluxed(fb: dict) -> FluxedBundle:
-    return FluxedBundle(MilnorBundle(**fb["bundle"]), fb["flux"])
+    return _trusted(FluxedBundle, _bundle(fb["bundle"]), fb["flux"])
 
 
 def graded_table(cohomology: list) -> str:
@@ -224,9 +229,9 @@ def cmd_milnor(args) -> dict:
 
 def milnor_table(p: dict) -> str:
     lines = [
-        f"{MilnorBundle(**p['bundle'])}: euler {p['euler']}, p1 {p['pontryagin']}, "
+        f"{_bundle(p['bundle'])}: euler {p['euler']}, p1 {p['pontryagin']}, "
         f"{'principal' if p['principal'] else 'non-principal'}",
-        f"  canonical representative {MilnorBundle(**p['canonical'])}",
+        f"  canonical representative {_bundle(p['canonical'])}",
     ]
     if p["homotopy_sphere"]:
         verdict = "standard" if p["lambda"] == 0 else "exotic"
@@ -279,7 +284,7 @@ def cmd_brieskorn(args) -> dict:
 
 def brieskorn_table(p: dict) -> str:
     lines = [
-        f"exponents {bk.BrieskornPham.of(*p['exponents'])}",
+        f"exponents {_trusted(bk.BrieskornPham, tuple(p['exponents']))}",
         f"  milnor number mu = {p['milnor_number']}",
         f"  degree ell = {p['degree']}, weights {tuple(p['weights'])}",
         f"  type {p['type']}, gorenstein parameter {p['gorenstein']}",
@@ -302,7 +307,7 @@ def cmd_lattice(args) -> dict:
 
 
 def lattice_table(p: dict) -> str:
-    bp = bk.BrieskornPham.of(*p["exponents"])
+    bp = _trusted(bk.BrieskornPham, tuple(p["exponents"]))
     lines = [f"milnor lattice of {bp}: rank {p['rank']}"]
     for row in p["gram"]:
         lines.append("  " + " ".join(f"{x:3d}" for x in row))
@@ -322,7 +327,7 @@ def cmd_spectrum(args) -> dict:
 
 def spectrum_table(p: dict) -> str:
     return (
-        f"spectrum of {bk.BrieskornPham.of(*p['exponents'])} "
+        f"spectrum of {_trusted(bk.BrieskornPham, tuple(p['exponents']))} "
         f"({p['count']} values, min {p['min']}):\n  "
         + " ".join(p["values"])
     )
@@ -436,7 +441,7 @@ def hodge_table(p: dict) -> str:
     blocks = [f"{p['count']} admissible diamond(s) on the {p['branch']} branch"]
     for i, h in enumerate(p["diamonds"]):
         blocks.append(f"--- diamond {i + 1} ---")
-        blocks.append(hg.HodgeDiamond(tuple(map(tuple, h))).triangle())
+        blocks.append(_trusted(hg.HodgeDiamond, tuple(map(tuple, h))).triangle())
     return "\n".join(blocks)
 
 
@@ -458,7 +463,7 @@ def cmd_kunneth(args) -> dict:
 
 
 def kunneth_table(p: dict) -> str:
-    bundle = MilnorBundle(p["m"], p["k"] - p["m"])
+    bundle = _trusted(MilnorBundle, p["m"], p["k"] - p["m"])
     lines = [f"H*({bundle} x S^1):", graded_table(p["cohomology"])]
     torsion_degrees = p["metadata"]["torsion_degrees"]
     if torsion_degrees:

@@ -9,6 +9,11 @@ of its parser, to exit status 2.  The type rule is stated once, in
 float or Fraction does not), an argument that is a library value must
 be an instance of its class, and a collection of either must be iterable.
 `_tuple_of` applies it to a collection that a value stores as a tuple.
+
+Every library value has one construction rule.  Its public constructor
+checks what a caller passes; a value the library builds from inputs it
+has checked already goes through `_trusted`, the one bypass, and is not
+checked again.
 """
 
 
@@ -39,6 +44,21 @@ def _tuple_of(kind, what, values) -> tuple:
         raise
     _require(kind, what, values)
     return values
+
+
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass `cls` with its fields, in
+    declaration order, set to `values`, made without running
+    `__post_init__`: the one way round the public checks, for a value the
+    library builds itself and that is valid by construction.
+
+    >>> from exotic_invariants.abelian import AbelianGroup
+    >>> _trusted(AbelianGroup, 1, (2, 6)) == AbelianGroup(1, (2, 6))
+    True
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
 
 
 class InvalidArgument(ValueError):

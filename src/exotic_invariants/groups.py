@@ -95,6 +95,7 @@ def compose(x, y):
 
     Both arguments must be of the same kind and carry the same config.
     """
+    _require(_Residue, "group elements", (x, y))
     if type(x) is not type(y) or x.config != y.config:
         raise ConfigMismatch(f"cannot compose {x!r} with {y!r}")
     return type(x)((x.residue + y.residue) % x.config.order, x.config)
@@ -131,6 +132,7 @@ def de_sapio_steps(start: Theta7Element, step: Theta7Element, target: Theta7Elem
 
 def fano_moduli_compose(r1: RepClass, r2: RepClass) -> RepClass:
     """Pointwise product of characters adds exponents."""
+    _require(RepClass, "representations", (r1, r2))
     return RepClass(r1.exponent + r2.exponent)
 
 

@@ -134,6 +134,7 @@ def ddbar_constraints_check(d: HodgeDiamond, k: int):
     sum is 2*h40 + h22 + 2*h13; when it equals b4 = 1 (nonunit branch)
     the odd total forces h22 = 1 and h40 = h13 = 0.
     """
+    _require(HodgeDiamond, "diamond", (d,))
     betti = betti_vector(branch_of_euler(k))
     for r in range(2 * DIM + 1):
         got = d.antidiagonal_sum(r)

@@ -36,7 +36,7 @@ from itertools import chain, combinations
 from math import gcd
 from operator import mul
 
-from .errors import InvalidArgument, _require
+from .errors import InvalidArgument, _require, _trusted
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,9 @@ class IntMatrix:
     int, `identity` and `zero` their dimensions.  Matrices whose entries
     the library computes itself (those of `identity` and `zero`,
     `transpose`, `@`, the outputs of `smith_normal_form` and the gram of
-    `brieskorn.milnor_lattice`) are made through `_trusted` without the
-    entry check: those entries are ints by construction, and checking them
-    again took about half the time of a large family lattice.  The groups
-    of `abelian` follow the same rule.
+    `brieskorn.milnor_lattice`) are made through `errors._trusted` without
+    the entry check: those entries are ints by construction, and checking
+    them again took about half the time of a large family lattice.
     """
 
     rows: int
@@ -131,23 +130,6 @@ def _check_dims(rows: int, cols: int) -> None:
     _require(int, "matrix dimensions", (rows, cols))
     if rows < 0 or cols < 0:
         raise InvalidArgument("matrix dimensions must be nonnegative")
-
-
-def _trusted(cls, *values):
-    """An instance of the frozen dataclass `cls` with its fields, in
-    declaration order, set to `values`, made without running
-    `__post_init__`.
-
-    The one route by which the library's own builders make a value that is
-    valid by construction, so that its checks run once, on the inputs it
-    was built from: the matrices here and in `brieskorn.milnor_lattice`,
-    and the groups of `abelian.AbelianGroup.from_orders`, `cokernel_group`
-    and `kernel_group`.  Values from a caller go through `cls(...)`, which
-    checks them.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return obj
 
 
 def _hermite(a, nrows, ncols) -> None:

@@ -37,6 +37,7 @@ def euler_preserving_dual(fb: FluxedBundle) -> FluxedBundle:
 
     Involutive on the nose: applying it twice returns the input.
     """
+    _require(FluxedBundle, "fluxed bundle", (fb,))
     k = fb.bundle.euler
     j = fb.flux
     return FluxedBundle(MilnorBundle(j, k - j), fb.bundle.m)
@@ -52,6 +53,7 @@ def principal_dual(fb: FluxedBundle) -> FluxedBundle:
     >>> print(principal_dual(FluxedBundle(MilnorBundle(0, 4), 7)))
     (M(0,-7), [-4])
     """
+    _require(FluxedBundle, "fluxed bundle", (fb,))
     b = fb.bundle
     if not b.is_principal:
         raise NotPrincipal(f"{b} has m*n != 0")

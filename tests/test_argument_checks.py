@@ -1,20 +1,21 @@
 """The exact-int rule and the library-type rule are written once, in
 `errors._require`: outside errors.py no library module names the builtin
-`isinstance`, except `GradedGroups.__eq__`, which answers NotImplemented
-to a value of another type, and `cli.run`, which picks the exit status by
-the class of the error.  A request checks its inputs once, not once in
-each module it passes through."""
+`isinstance`, except `cli.run`, which picks the exit status by the class
+of the error.  A request checks its inputs once, not once in each module
+it passes through, and a value the library built is not checked again."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import exotic_invariants
 from exotic_invariants import cli, errors
 
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-ALLOWED = {("abelian.py", "GradedGroups.__eq__"), ("cli.py", "run")}
+ALLOWED = {("cli.py", "run")}
 
 
 def isinstance_sites(source):
@@ -57,9 +58,9 @@ def test_type_checks_live_in_errors_only():
     assert found == []
 
 
-def test_a_kunneth_request_checks_its_inputs_once(monkeypatch, capsys):
-    # The bound lies between one normalization per output degree (35
-    # checks) and a group built and re-checked per pair of degrees (105).
+@pytest.fixture
+def checks(monkeypatch):
+    """The arguments of each `_require` call made in the test, in order."""
     calls = []
     require = errors._require
 
@@ -71,6 +72,29 @@ def test_a_kunneth_request_checks_its_inputs_once(monkeypatch, capsys):
         module = importlib.import_module(f"exotic_invariants.{info.name}")
         if hasattr(module, "_require"):
             monkeypatch.setattr(module, "_require", counted)
-    assert cli.run(["kunneth", "--m", "1", "--k", "3"]) == 0
+    return calls
+
+
+def test_a_kunneth_request_checks_its_inputs_once(checks, capsys):
+    # 18 checks: the bundle (built, then passed on), the circle's
+    # dimension, the two graded groups, and two per normalization (each
+    # output degree and the degree-4 group).  Re-checking what the library
+    # built (at `GradedGroups`, and the table's rebuilt groups) made 35.
+    for form in ([], ["--json"]):
+        checks.clear()
+        assert cli.run(["kunneth", "--m", "1", "--k", "3", *form]) == 0
+        assert 0 < len(checks) <= 20
     assert "H*(M(1,2) x S^1):" in capsys.readouterr().out
-    assert 0 < len(calls) < 50
+
+
+# At most `bound` checks in table and --json form; the tables made 18 and
+# 14 when the values they rebuild to print were checked again.
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
+@pytest.mark.parametrize(
+    "argv, bound",
+    [(["tdual", "--m", "3", "--k", "1", "--flux", "5"], 12), (["milnor", "3", "4"], 8)],
+    ids=["tdual", "milnor"],
+)
+def test_a_request_checks_its_inputs_once(checks, argv, bound, form):
+    assert cli.run(argv + form) == 0
+    assert 0 < len(checks) <= bound

@@ -28,22 +28,38 @@ from exotic_invariants.brieskorn import (
     milnor_lattice,
     milnor_number,
     spectrum,
+    weights_and_degree,
 )
-from exotic_invariants.bundles import MilnorBundle, lambda_invariant
+from exotic_invariants.bundles import (
+    MilnorBundle,
+    bundle_cohomology,
+    canonical_form,
+    clutching_compose,
+    gysin_cohomology,
+    lambda_invariant,
+)
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
 from exotic_invariants.groups import (
     GroupConfig,
     RepClass,
     Theta7Element,
+    compose,
     de_sapio_steps,
     family_weights,
+    fano_moduli_compose,
     is_orbifold_rep,
     link_isotropies,
     theta7,
 )
-from exotic_invariants.hodge import HodgeDiamond, branch_of_euler
+from exotic_invariants.hodge import HodgeDiamond, branch_of_euler, ddbar_constraints_check
 from exotic_invariants.snf import IntMatrix, determinant, rank, smith_normal_form
-from exotic_invariants.tduality import FluxedBundle, correspondence_h7, lifted_flux
+from exotic_invariants.tduality import (
+    FluxedBundle,
+    correspondence_h7,
+    euler_preserving_dual,
+    lifted_flux,
+    principal_dual,
+)
 
 BUILDERS = {
     "IntMatrix": lambda x: IntMatrix(1, 2, (x, 1)),
@@ -78,6 +94,7 @@ BUILDERS = {
     "determinant": lambda x: determinant(x),
     "is_orbifold_rep": lambda x: is_orbifold_rep(x),
     "de_sapio_steps target": lambda x: de_sapio_steps(theta7(1), theta7(2), x),
+    "sphere_cohomology": lambda x: sphere_cohomology(x),
 }
 
 
@@ -162,6 +179,24 @@ REJECTED = {
     "lambda_invariant tuple": (lambda: lambda_invariant((1, 0)), InvalidArgument),
     "smith_normal_form list": (lambda: smith_normal_form([[1]]), InvalidArgument),
     "kunneth int": (lambda: kunneth(1, 2), InvalidArgument),
+    "euler_preserving_dual int": (lambda: euler_preserving_dual(5), InvalidArgument),
+    "principal_dual int": (lambda: principal_dual(5), InvalidArgument),
+    "canonical_form int": (lambda: canonical_form(5), InvalidArgument),
+    "bundle_cohomology int": (lambda: bundle_cohomology(5), InvalidArgument),
+    "gysin_cohomology int": (lambda: gysin_cohomology(5), InvalidArgument),
+    "clutching_compose int": (
+        lambda: clutching_compose(5, MilnorBundle(1, 0)),
+        InvalidArgument,
+    ),
+    "compose ints": (lambda: compose(1, 2), InvalidArgument),
+    "fano_moduli_compose int": (
+        lambda: fano_moduli_compose(5, RepClass(1)),
+        InvalidArgument,
+    ),
+    "ddbar_constraints_check int": (lambda: ddbar_constraints_check(5, 1), InvalidArgument),
+    "weights_and_degree int": (lambda: weights_and_degree(5), InvalidArgument),
+    "in_sphere_link_family int": (lambda: in_sphere_link_family(5), InvalidArgument),
+    "direct_sum int": (lambda: Z.direct_sum(5), InvalidArgument),
 }
 
 
@@ -169,6 +204,11 @@ REJECTED = {
 def test_invalid_arguments_are_rejected(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_sphere_cohomology_names_its_dimension():
+    with pytest.raises(InvalidArgument, match="sphere dimension must be of type int"):
+        sphere_cohomology(2.5)
 
 
 def test_bool_entries_and_equal_distinct_spectrum_values_pass():
@@ -234,15 +274,19 @@ def test_library_built_lattices_pass_the_public_checks(exps):
     assert MilnorLattice(lat.index_set, lat.gram) == lat
 
 
-@given(chained_pairs, dims, st.lists(st.integers(-12, 12), max_size=4))
+@given(chained_pairs, dims, st.lists(st.integers(-12, 12), max_size=4), st.integers(-6, 6))
 @settings(max_examples=100)
-def test_library_built_groups_pass_the_public_checks(pair, free, orders):
+def test_library_built_groups_pass_the_public_checks(pair, free, orders, k):
     a, b = pair
     g = AbelianGroup.from_orders(free, orders)
     built = [g, cokernel_group(a), kernel_group(b), *tensor_and_tor(g, cokernel_group(b))]
     circle = kunneth(GradedGroups({0: g, 1: cokernel_group(a)}), sphere_cohomology(1))
     for h in built + [group for _, group in circle.items()]:
         assert AbelianGroup(h.free_rank, h.torsion) == h
+    graded = [circle, bundle_cohomology(MilnorBundle(1, k - 1)), sphere_cohomology(free)]
+    for gg in graded:
+        rebuilt = GradedGroups(dict(gg.items()))
+        assert rebuilt == gg and hash(rebuilt) == hash(gg)
 
 
 def test_empty_matrix_determinant_is_one():
