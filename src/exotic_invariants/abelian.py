@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, prod
 
-from .errors import InvalidArgument, _require, _trusted, _tuple_of
+from .errors import InvalidArgument, _require, _trusted
 from .snf import IntMatrix, _gcd_lcm_exchange, invariant_factors, rank
 
 
@@ -39,11 +40,10 @@ def divisibility_chain(orders) -> tuple:
     >>> divisibility_chain([4, 6, 9])
     (6, 36)
     """
-    vals = list(orders)
-    _require(int, "orders", vals)
+    vals = _require(int, "orders", orders)
     if vals and min(vals) < 2:
         raise InvalidArgument("chain normalization expects integer orders >= 2")
-    return tuple(d for d in _gcd_lcm_exchange(vals) if d >= 2)
+    return tuple(d for d in _gcd_lcm_exchange(list(vals)) if d >= 2)
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,14 @@ class AbelianGroup:
 
     def __post_init__(self):
         _require(int, "free rank", (self.free_rank,))
-        chain = _tuple_of(int, "torsion orders", self.torsion)
-        object.__setattr__(self, "torsion", chain)
+        torsion = _require(int, "torsion orders", self.torsion)
+        object.__setattr__(self, "torsion", torsion)
         if self.free_rank < 0:
             raise InvalidArgument("free rank must be a nonnegative integer")
-        if chain and min(chain) < 2:
+        if torsion and min(torsion) < 2:
             raise InvalidArgument("torsion orders must be integers >= 2")
-        if any(chain[i + 1] % chain[i] != 0 for i in range(len(chain) - 1)):
-            raise InvalidArgument(f"torsion {chain} is not a divisibility chain")
+        if any(torsion[i + 1] % torsion[i] != 0 for i in range(len(torsion) - 1)):
+            raise InvalidArgument(f"torsion {torsion} is not a divisibility chain")
 
     @classmethod
     def from_orders(cls, free_rank: int, orders=()) -> "AbelianGroup":
@@ -71,8 +71,7 @@ class AbelianGroup:
         >>> AbelianGroup.from_orders(0, [4, 6]).torsion
         (2, 12)
         """
-        orders = list(orders)
-        _require(int, "free rank and orders", (free_rank, *orders))
+        free_rank, *orders = _require(int, "free rank and orders", chain((free_rank,), orders))
         if free_rank < 0:
             raise InvalidArgument("free rank must be a nonnegative integer")
         finite = [abs(d) for d in orders if abs(d) > 1]
@@ -161,6 +160,9 @@ class GradedGroups:
     """
 
     groups: tuple = ()
+    # `__getitem__` never raises, so Python's fallback iteration over it
+    # would not end; a GradedGroups is not a sequence.
+    __iter__ = None
 
     def __post_init__(self):
         try:

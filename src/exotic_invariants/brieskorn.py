@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm
 
-from .errors import InvalidArgument, OutOfFamily, _require, _trusted, _tuple_of
+from .errors import InvalidArgument, OutOfFamily, _require, _trusted
 from .snf import IntMatrix
 
 
@@ -69,7 +69,7 @@ class BrieskornPham:
     exponents: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", _tuple_of(int, "exponents", self.exponents))
+        object.__setattr__(self, "exponents", _require(int, "exponents", self.exponents))
         if len(self.exponents) < 1:
             raise InvalidArgument("need at least one exponent")
         if any(a < 2 for a in self.exponents):
@@ -91,7 +91,10 @@ class MilnorLattice:
     gram: IntMatrix
 
     def __post_init__(self):
-        n = len(self.index_set)
+        index_set = _require(tuple, "index set", self.index_set)
+        _require(IntMatrix, "gram matrix", (self.gram,))
+        object.__setattr__(self, "index_set", index_set)
+        n = len(index_set)
         if self.gram.rows != n or self.gram.cols != n:
             raise InvalidArgument("gram matrix must be square of the basis size")
         if self.gram.diagonal().count(2) != n:
@@ -218,7 +221,10 @@ def canonical_type_from_weights(ell: int, weights):
     s > 1 is Fano, s = 1 Calabi-Yau, s < 1 general type; the Gorenstein
     parameter is s - 1 as an exact rational.
     """
-    s = Fraction(sum(weights), ell)
+    _require(int, "weighted degree", (ell,))
+    if ell < 1:
+        raise InvalidArgument("weighted degree must be a positive integer")
+    s = Fraction(sum(_require(int, "weights", weights)), ell)
     if s > 1:
         kind = CanonicalType.FANO
     elif s == 1:

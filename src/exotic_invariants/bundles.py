@@ -144,6 +144,7 @@ def star_quotient(r: int, k: int, mode: str) -> MilnorBundle:
     'nonprincipal' mode and the principal bundle M(r - k, 0) in the
     'principal' mode.
     """
+    _require(int, "bundle class and Euler class", (r, k))
     if mode == "nonprincipal":
         return MilnorBundle(r, k - r)
     if mode == "principal":

@@ -8,7 +8,8 @@ of its parser, to exit status 2.  The type rule is stated once, in
 `_require`: an integer argument must be an exact int (a bool passes, a
 float or Fraction does not), an argument that is a library value must
 be an instance of its class, and a collection of either must be iterable.
-`_tuple_of` applies it to a collection that a value stores as a tuple.
+`_require` returns the collection as the tuple it checked, so a value
+stores what was checked, and a collection argument is read only there.
 
 Every library value has one construction rule.  Its public constructor
 checks what a caller passes; a value the library builds from inputs it
@@ -17,32 +18,31 @@ checked again.
 """
 
 
-def _require(kind, what, values) -> None:
-    """Raise InvalidArgument unless `values` is iterable and every item of
-    it is a `kind`.
+def _require(kind, what, values) -> tuple:
+    """`values` as a tuple, after raising InvalidArgument unless it is
+    iterable and every item of it is a `kind`.  A tuple comes back as the
+    same object, and a one-shot iterator is read once.  With `kind` object
+    only the iterability is checked.
 
     A plain loop: on CPython 3.11 it beat `all(map(isinstance, ...))` from
-    one item up to 110,224, the entry count of the k = 28 family gram."""
+    one item up to 110,224, the entry count of the k = 28 family gram.
+
+    >>> _require(int, "orders", [2, True])
+    (2, True)
+    >>> _require(int, "orders", 5)
+    Traceback (most recent call last):
+    ...
+    exotic_invariants.errors.InvalidArgument: orders must be iterable: 'int' object is not iterable
+    """
     try:
-        values = iter(values)
-    except TypeError:
-        raise InvalidArgument(f"{what} must be iterable, not {type(values).__name__}") from None
+        values = tuple(values)
+    except TypeError as err:
+        raise InvalidArgument(f"{what} must be iterable: {err}") from None
     for value in values:
         if not isinstance(value, kind):
             raise InvalidArgument(
                 f"{what} must be of type {kind.__name__}, not {type(value).__name__}"
             )
-
-
-def _tuple_of(kind, what, values) -> tuple:
-    """`values` as a tuple, checked by `_require`.  It is read once, so a
-    one-shot iterator is stored whole, not emptied by the check."""
-    try:
-        values = tuple(values)
-    except TypeError:
-        _require(kind, what, values)  # names a non-iterable's type
-        raise
-    _require(kind, what, values)
     return values
 
 

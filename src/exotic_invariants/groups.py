@@ -17,7 +17,7 @@ from itertools import combinations
 from math import gcd
 
 from .brieskorn import BP8_ORDER, milnor_family, weights_and_degree
-from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable, _require
+from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable, _require, _trusted
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,7 @@ class _Residue:
 
     def __post_init__(self):
         _require(int, "residue", (self.residue,))
+        _require(GroupConfig, "group configuration", (self.config,))
         if not 0 <= self.residue < self.config.order:
             raise InvalidArgument(f"residue {self.residue} outside 0..{self.config.order - 1}")
 
@@ -71,23 +72,35 @@ class RepClass:
         _require(int, "representation exponent", (self.exponent,))
 
 
+# The factories check their arguments and then build the reduced residue
+# through `_trusted`, so one call makes one set of checks.
+
+
 def theta7(value: int, config: GroupConfig = DEFAULT_CONFIG) -> Theta7Element:
-    return Theta7Element(value % config.order, config)
+    _require(int, "residue", (value,))
+    _require(GroupConfig, "group configuration", (config,))
+    return _trusted(Theta7Element, value % config.order, config)
 
 
 def sigma8(value: int, config: GroupConfig = DEFAULT_CONFIG) -> Sigma8Element:
-    return Sigma8Element(value % config.order, config)
+    _require(int, "residue", (value,))
+    _require(GroupConfig, "group configuration", (config,))
+    return _trusted(Sigma8Element, value % config.order, config)
 
 
 def sigma33(m: int, n: int, config: GroupConfig = DEFAULT_CONFIG) -> Theta7Element:
     """Bilinear pairing of two clutching exponents into the sphere group:
     (m, n) -> m*n*c mod N."""
-    return theta7(m * n * config.coeff, config)
+    _require(int, "clutching exponents", (m, n))
+    _require(GroupConfig, "group configuration", (config,))
+    return _trusted(Theta7Element, m * n * config.coeff % config.order, config)
 
 
 def sigma_tilde8(m: int, n: int, l: int, config: GroupConfig = DEFAULT_CONFIG) -> Sigma8Element:
     """Trilinear extension picking up a circle winding: m*n*l*c mod N."""
-    return sigma8(m * n * l * config.coeff, config)
+    _require(int, "clutching exponents and winding", (m, n, l))
+    _require(GroupConfig, "group configuration", (config,))
+    return _trusted(Sigma8Element, m * n * l * config.coeff % config.order, config)
 
 
 def compose(x, y):

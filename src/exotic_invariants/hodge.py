@@ -49,9 +49,11 @@ class HodgeDiamond:
     h: tuple
 
     def __post_init__(self):
-        if len(self.h) != DIM + 1 or any(len(r) != DIM + 1 for r in self.h):
+        grid = _require(object, "Hodge grid", self.h)
+        h = tuple(_require(int, "Hodge numbers", r) for r in grid)
+        object.__setattr__(self, "h", h)
+        if len(h) != DIM + 1 or any(len(r) != DIM + 1 for r in h):
             raise InvalidArgument("expected a 5x5 grid")
-        _require(int, "Hodge numbers", [x for r in self.h for x in r])
         if any(x < 0 for r in self.h for x in r):
             raise InvalidArgument("Hodge numbers are nonnegative integers")
         for p in range(DIM + 1):
@@ -65,8 +67,16 @@ class HodgeDiamond:
     @classmethod
     def from_entries(cls, entries) -> "HodgeDiamond":
         """Build from a sparse {(p, q): value} mapping; absent entries are 0."""
+        try:
+            entries = dict(entries)
+        except (TypeError, ValueError) as err:
+            raise InvalidArgument(f"Hodge entries need ((p, q), value) pairs: {err}") from None
         grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
-        for (p, q), value in entries.items():
+        for pq, value in entries.items():
+            index = _require(int, "Hodge index", pq)
+            if len(index) != 2:
+                raise InvalidArgument(f"Hodge index {pq!r} is not a (p, q) pair")
+            p, q = index
             if not (0 <= p <= DIM and 0 <= q <= DIM):
                 raise InvalidArgument(f"Hodge index ({p},{q}) outside 0..{DIM}")
             grid[p][q] = value
@@ -120,6 +130,7 @@ def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
     (b3, b4, b5) = (1, 2, 1).  Both are kept as they are; the diamond
     constraints use the paper's vector.
     """
+    _require(int, "clutching exponent and Euler class", (m, k))
     total = bundle_cohomology(MilnorBundle(m, k - m))
     return kunneth(total, sphere_cohomology(1))
 

@@ -45,9 +45,11 @@ class IntMatrix:
 
     The public constructors check what a caller passes: `IntMatrix(...)`,
     `from_rows` and `from_diagonal` the shape and that every entry is an
-    int, `identity` and `zero` their dimensions.  Matrices whose entries
-    the library computes itself (those of `identity` and `zero`,
-    `transpose`, `@`, the outputs of `smith_normal_form` and the gram of
+    int, `identity` and `zero` their dimensions.  The entries are stored as
+    the tuple that the check returns.  Matrices whose entries the library
+    computes itself or has checked already (those of `identity` and `zero`,
+    of `from_rows` and `from_diagonal` after their check, `transpose`, `@`,
+    the outputs of `smith_normal_form` and the gram of
     `brieskorn.milnor_lattice`) are made through `errors._trusted` without
     the entry check: those entries are ints by construction, and checking
     them again took about half the time of a large family lattice.
@@ -59,19 +61,18 @@ class IntMatrix:
 
     def __post_init__(self):
         _check_dims(self.rows, self.cols)
-        if len(self.entries) != self.rows * self.cols:
-            raise InvalidArgument(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        _require(int, "entries", self.entries)
+        entries = _require(int, "entries", self.entries)
+        if len(entries) != self.rows * self.cols:
+            raise InvalidArgument(f"expected {self.rows * self.cols} entries, got {len(entries)}")
+        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
+        rows = [_require(int, "entries", r) for r in _require(object, "matrix rows", rows)]
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InvalidArgument("ragged rows")
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        return _trusted(cls, len(rows), ncols, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -86,9 +87,10 @@ class IntMatrix:
 
     @classmethod
     def from_diagonal(cls, diag) -> "IntMatrix":
-        diag = list(diag)
-        n = len(diag)
-        return cls(n, n, tuple(diag[i] if i == j else 0 for i in range(n) for j in range(n)))
+        d = _require(int, "entries", diag)
+        n = len(d)
+        entries = tuple(d[i] if i == j else 0 for i in range(n) for j in range(n))
+        return _trusted(cls, n, n, entries)
 
     def __getitem__(self, ij) -> int:
         i, j = ij

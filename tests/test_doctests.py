@@ -11,7 +11,7 @@ MIN_TRIED = {
     "brieskorn": 5,
     "bundles": 1,
     "cli": 2,
-    "errors": 1,
+    "errors": 2,
     "groups": 3,
     "hodge": 1,
     "snf": 9,

@@ -23,6 +23,7 @@ from exotic_invariants.abelian import (
 from exotic_invariants.brieskorn import (
     BrieskornPham,
     MilnorLattice,
+    canonical_type_from_weights,
     in_sphere_link_family,
     milnor_family,
     milnor_lattice,
@@ -37,11 +38,13 @@ from exotic_invariants.bundles import (
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
+    star_quotient,
 )
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
 from exotic_invariants.groups import (
     GroupConfig,
     RepClass,
+    Sigma8Element,
     Theta7Element,
     compose,
     de_sapio_steps,
@@ -49,9 +52,17 @@ from exotic_invariants.groups import (
     fano_moduli_compose,
     is_orbifold_rep,
     link_isotropies,
+    sigma8,
+    sigma33,
+    sigma_tilde8,
     theta7,
 )
-from exotic_invariants.hodge import HodgeDiamond, branch_of_euler, ddbar_constraints_check
+from exotic_invariants.hodge import (
+    HodgeDiamond,
+    branch_of_euler,
+    ddbar_constraints_check,
+    hopf_manifold_cohomology,
+)
 from exotic_invariants.snf import IntMatrix, determinant, rank, smith_normal_form
 from exotic_invariants.tduality import (
     FluxedBundle,
@@ -197,6 +208,58 @@ REJECTED = {
     "weights_and_degree int": (lambda: weights_and_degree(5), InvalidArgument),
     "in_sphere_link_family int": (lambda: in_sphere_link_family(5), InvalidArgument),
     "direct_sum int": (lambda: Z.direct_sum(5), InvalidArgument),
+    "theta7 str": (lambda: theta7("3"), InvalidArgument),
+    "theta7 int config": (lambda: theta7(1, 5), InvalidArgument),
+    "sigma33 int config": (lambda: sigma33(1, 1, 5), InvalidArgument),
+    "Theta7Element int config": (lambda: Theta7Element(1, 5), InvalidArgument),
+    "sigma8 str": (lambda: sigma8("3"), InvalidArgument),
+    "sigma8 int config": (lambda: sigma8(1, 5), InvalidArgument),
+    "sigma_tilde8 int config": (lambda: sigma_tilde8(1, 1, 1, 5), InvalidArgument),
+    "Sigma8Element int config": (lambda: Sigma8Element(1, 5), InvalidArgument),
+    "hopf_manifold_cohomology str": (lambda: hopf_manifold_cohomology("3", 1), InvalidArgument),
+    "star_quotient str": (lambda: star_quotient("3", 1, "principal"), InvalidArgument),
+    "canonical_type_from_weights float": (
+        lambda: canonical_type_from_weights(2.5, [1]),
+        InvalidArgument,
+    ),
+    "canonical_type_from_weights zero": (
+        lambda: canonical_type_from_weights(0, [1]),
+        InvalidArgument,
+    ),
+    "canonical_type_from_weights int": (
+        lambda: canonical_type_from_weights(6, 5),
+        InvalidArgument,
+    ),
+    "HodgeDiamond.from_entries int": (lambda: HodgeDiamond.from_entries(5), InvalidArgument),
+    "HodgeDiamond.from_entries int key": (
+        lambda: HodgeDiamond.from_entries({5: 1}),
+        InvalidArgument,
+    ),
+    "HodgeDiamond.from_entries triple key": (
+        lambda: HodgeDiamond.from_entries({(0, 0, 0): 1}),
+        InvalidArgument,
+    ),
+    "HodgeDiamond int": (lambda: HodgeDiamond(5), InvalidArgument),
+    "divisibility_chain int": (lambda: divisibility_chain(5), InvalidArgument),
+    "AbelianGroup.from_orders int orders": (
+        lambda: AbelianGroup.from_orders(0, 5),
+        InvalidArgument,
+    ),
+    "IntMatrix.from_rows int": (lambda: IntMatrix.from_rows(5), InvalidArgument),
+    "IntMatrix.from_rows int row": (lambda: IntMatrix.from_rows([5]), InvalidArgument),
+    "IntMatrix.from_diagonal int": (lambda: IntMatrix.from_diagonal(5), InvalidArgument),
+    "IntMatrix int entries": (lambda: IntMatrix(1, 1, 5), InvalidArgument),
+    "MilnorLattice int index set": (
+        lambda: MilnorLattice(5, IntMatrix.zero(0, 0)),
+        InvalidArgument,
+    ),
+    "MilnorLattice int gram": (lambda: MilnorLattice((), 5), InvalidArgument),
+    # GradedGroups' `__getitem__` never raises, so reading it as a
+    # sequence did not end.
+    "BrieskornPham graded groups": (
+        lambda: BrieskornPham(sphere_cohomology(7)),
+        InvalidArgument,
+    ),
 }
 
 
@@ -236,6 +299,31 @@ def test_list_exponents_are_hashable():
 
 def test_list_exponents_are_in_the_sphere_link_family():
     assert in_sphere_link_family(BrieskornPham([5, 3, 2, 2, 2]))
+
+
+# Collections are stored as the tuples their check returns, so a value
+# built from lists equals the one built from tuples and hashes like it.
+
+
+def test_list_entries_equal_the_tuple():
+    m = IntMatrix(1, 2, [1, 2])
+    assert m == IntMatrix.from_rows([[1, 2]]) == IntMatrix(1, 2, (1, 2))
+    assert hash(m) == hash(IntMatrix.from_rows([[1, 2]]))
+    assert IntMatrix.from_diagonal(iter([2, 3])) == IntMatrix.from_rows([[2, 0], [0, 3]])
+
+
+def test_list_grid_equals_the_sparse_diamond():
+    grid = [[0] * 5 for _ in range(5)]
+    grid[0][0] = grid[4][4] = 1
+    d = HodgeDiamond(grid)
+    assert d == HodgeDiamond.from_entries({(0, 0): 1, (4, 4): 1})
+    assert hash(d) == hash(HodgeDiamond.from_entries({(0, 0): 1, (4, 4): 1}))
+
+
+def test_list_index_set_equals_the_library_lattice():
+    lat = milnor_lattice(BrieskornPham.of(3, 3, 2))
+    rebuilt = MilnorLattice(list(lat.index_set), lat.gram)
+    assert rebuilt == lat and hash(rebuilt) == hash(lat)
 
 
 # The library builds these values without its public checks; rebuilding
