@@ -8,23 +8,15 @@ weighted-projective data, spectra, and intersection lattices.
 
 from fractions import Fraction
 
-from exotic_invariants import (
-    BrieskornPham,
-    canonical_type_from_weights,
-    milnor_family,
-    milnor_lattice,
-    milnor_number,
-    spectrum,
-    weights_and_degree,
-)
+from exotic_invariants import BrieskornPham, milnor_family, milnor_lattice, spectrum
 
 print("First few members of the link family")
 print("------------------------------------")
 for k in (1, 2, 3):
     bp = milnor_family(k)
-    mu = milnor_number(bp)
-    ell, weights = weights_and_degree(bp)
-    kind, gorenstein = canonical_type_from_weights(ell, weights)
+    mu = bp.milnor_number
+    ell, weights = bp.weights_and_degree
+    kind, gorenstein = bp.canonical_type
     print(
         f"k = {k}: exponents {bp}, mu = {mu:3d}, degree {ell:3d}, "
         f"weights {weights}, {kind.value}, gorenstein {gorenstein}"
@@ -44,7 +36,7 @@ print("The canonical-type trichotomy")
 print("-----------------------------")
 for exps in [(5, 3, 2, 2, 2), (3, 3, 3), (7, 3, 2)]:
     bp = BrieskornPham(exps)
-    kind, gorenstein = canonical_type_from_weights(*weights_and_degree(bp))
+    kind, gorenstein = bp.canonical_type
     print(f"{bp}: {kind.value:12s} gorenstein parameter {gorenstein}")
 
 print()

@@ -23,13 +23,9 @@ from .brieskorn import (
     BrieskornPham,
     CanonicalType,
     MilnorLattice,
-    canonical_type_from_weights,
-    in_sphere_link_family,
     milnor_family,
     milnor_lattice,
-    milnor_number,
     spectrum,
-    weights_and_degree,
 )
 from .bundles import (
     MilnorBundle,

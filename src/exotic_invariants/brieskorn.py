@@ -8,6 +8,10 @@ pairing of two basis vectors is the product of the single-variable
 pairings when the index tuples are comparable componentwise, and zero
 otherwise.  (For incomparable tuples this differs from the multiplicative
 Euler form of the tensor category; no correction is applied.)
+
+Invariants that every singularity has and that are cheap are properties of
+the checked `BrieskornPham`; `milnor_lattice` and `spectrum`, which can
+refuse an input and grow with it, are functions that check it once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .errors import InvalidArgument, OutOfFamily, _require, _trusted
 from .snf import IntMatrix
@@ -82,6 +86,48 @@ class BrieskornPham:
     def __str__(self):
         return "(" + ",".join(str(a) for a in self.exponents) + ")"
 
+    @property
+    def milnor_number(self) -> int:
+        """The rank of the Milnor lattice, the product of the a_i - 1."""
+        return prod(a - 1 for a in self.exponents)
+
+    @property
+    def weights_and_degree(self):
+        """(ell, weights): ell = lcm of the exponents, w_i = ell / a_i.
+
+        These grade the coordinate ring so the defining polynomial is
+        weighted homogeneous of degree ell.
+
+        >>> BrieskornPham.of(5, 3, 2, 2, 2).weights_and_degree
+        (30, (6, 10, 15, 15, 15))
+        """
+        ell = lcm(*self.exponents)
+        return ell, tuple(ell // a for a in self.exponents)
+
+    @property
+    def canonical_type(self):
+        """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell.
+
+        s > 1 is Fano, s = 1 Calabi-Yau, s < 1 general type; the Gorenstein
+        parameter is s - 1 as an exact rational.
+        """
+        ell, weights = self.weights_and_degree
+        s = Fraction(sum(weights), ell)
+        if s > 1:
+            kind = CanonicalType.FANO
+        elif s == 1:
+            kind = CanonicalType.CALABI_YAU
+        else:
+            kind = CanonicalType.GENERAL_TYPE
+        return kind, s - 1
+
+    @property
+    def in_sphere_link_family(self) -> bool:
+        """True when the link is one of the 28 homotopy-7-sphere links, that
+        is, when self is milnor_family(k) for the k its first exponent gives."""
+        k = (self.exponents[0] + 1) // 6
+        return k in FAMILY_RANGE and self == milnor_family(k)
+
 
 @dataclass(frozen=True)
 class MilnorLattice:
@@ -111,16 +157,6 @@ class CanonicalType(str, Enum):
     GENERAL_TYPE = "GeneralType"
 
 
-def milnor_number(bp: BrieskornPham) -> int:
-    """The rank of the Milnor lattice, the product of the a_i - 1.  Its
-    check on bp is the one that `milnor_lattice` and `spectrum` make."""
-    _require(BrieskornPham, "singularity", (bp,))
-    mu = 1
-    for a in bp.exponents:
-        mu *= a - 1
-    return mu
-
-
 def _check_size(bp: BrieskornPham, what: str, entries: int) -> None:
     """Refuse a request for more than MAX_ENTRIES entries."""
     if entries > MAX_ENTRIES:
@@ -146,7 +182,8 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     >>> milnor_lattice(BrieskornPham.of(3, 2)).gram.to_lists()
     [[2, -2], [-2, 2]]
     """
-    _check_size(bp, "milnor lattice", milnor_number(bp) ** 2)
+    _require(BrieskornPham, "singularity", (bp,))
+    _check_size(bp, "milnor lattice", bp.milnor_number ** 2)
     exps = bp.exponents
     n = len(exps)
     index_set = tuple(product(*(range(1, a) for a in exps)))
@@ -182,7 +219,7 @@ def spectrum(bp: BrieskornPham):
     """(ell, nums): the spectrum of bp, the weights sum((k_i + 1) / a_i)
     over the monomial basis, as integer numerators over one denominator.
 
-    With (ell, w) from weights_and_degree, the weight of the monomial
+    With (ell, w) = bp.weights_and_degree, the weight of the monomial
     with exponents k_i is sum(w_i * (k_i + 1)) / ell; nums lists these
     numerators sorted, one per basis monomial.  The least, sum(w_i), is
     ell * sum(1 / a_i), at the constant monomial.  Refuses, with
@@ -191,47 +228,14 @@ def spectrum(bp: BrieskornPham):
     >>> spectrum(BrieskornPham.of(3, 3))
     (3, [2, 3, 3, 4])
     """
-    _check_size(bp, "spectrum", milnor_number(bp))
-    ell, weights = weights_and_degree(bp)
+    _require(BrieskornPham, "singularity", (bp,))
+    _check_size(bp, "spectrum", bp.milnor_number)
+    ell, weights = bp.weights_and_degree
     nums = [0]
     for a, w in zip(bp.exponents, weights):
         nums = [x + w * k for k in range(1, a) for x in nums]
     nums.sort()
     return ell, nums
-
-
-def weights_and_degree(bp: BrieskornPham):
-    """(ell, weights): ell = lcm of the exponents, w_i = ell / a_i.
-
-    These grade the coordinate ring so the defining polynomial is weighted
-    homogeneous of degree ell.
-
-    >>> weights_and_degree(BrieskornPham.of(5, 3, 2, 2, 2))
-    (30, (6, 10, 15, 15, 15))
-    """
-    _require(BrieskornPham, "singularity", (bp,))
-    ell = lcm(*bp.exponents)
-    return ell, tuple(ell // a for a in bp.exponents)
-
-
-def canonical_type_from_weights(ell: int, weights):
-    """(type, Gorenstein parameter) from s = sum(1 / a_i) = sum(w_i) / ell,
-    with (ell, w) from `weights_and_degree`.
-
-    s > 1 is Fano, s = 1 Calabi-Yau, s < 1 general type; the Gorenstein
-    parameter is s - 1 as an exact rational.
-    """
-    _require(int, "weighted degree", (ell,))
-    if ell < 1:
-        raise InvalidArgument("weighted degree must be a positive integer")
-    s = Fraction(sum(_require(int, "weights", weights)), ell)
-    if s > 1:
-        kind = CanonicalType.FANO
-    elif s == 1:
-        kind = CanonicalType.CALABI_YAU
-    else:
-        kind = CanonicalType.GENERAL_TYPE
-    return kind, s - 1
 
 
 def milnor_family(k: int) -> BrieskornPham:
@@ -240,11 +244,3 @@ def milnor_family(k: int) -> BrieskornPham:
     if k not in FAMILY_RANGE:
         raise OutOfFamily(f"family index must be in 1..{BP8_ORDER}, got {k}")
     return BrieskornPham.of(6 * k - 1, 3, 2, 2, 2)
-
-
-def in_sphere_link_family(bp: BrieskornPham) -> bool:
-    """True when the link of bp is one of the 28 homotopy-7-sphere links,
-    that is, when bp is milnor_family(k) for the k its first exponent gives."""
-    _require(BrieskornPham, "singularity", (bp,))
-    k = (bp.exponents[0] + 1) // 6
-    return k in FAMILY_RANGE and bp == milnor_family(k)

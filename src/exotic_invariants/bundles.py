@@ -42,7 +42,7 @@ class MilnorBundle:
 
     def mirror(self) -> "MilnorBundle":
         """The other classifying pair for the same total space: (-n, -m)."""
-        return MilnorBundle(-self.n, -self.m)
+        return _trusted(MilnorBundle, -self.n, -self.m)
 
     def __str__(self):
         return f"M({self.m},{self.n})"
@@ -133,7 +133,7 @@ def clutching_compose(t1: MilnorBundle, t2: MilnorBundle) -> MilnorBundle:
     x^{m1} (x^{m2} v x^{n2}) x^{n1} = x^{m1+m2} v x^{n2+n1}.
     """
     _require(MilnorBundle, "bundles", (t1, t2))
-    return MilnorBundle(t1.m + t2.m, t1.n + t2.n)
+    return _trusted(MilnorBundle, t1.m + t2.m, t1.n + t2.n)
 
 
 def star_quotient(r: int, k: int, mode: str) -> MilnorBundle:
@@ -146,7 +146,7 @@ def star_quotient(r: int, k: int, mode: str) -> MilnorBundle:
     """
     _require(int, "bundle class and Euler class", (r, k))
     if mode == "nonprincipal":
-        return MilnorBundle(r, k - r)
+        return _trusted(MilnorBundle, r, k - r)
     if mode == "principal":
-        return MilnorBundle(r - k, 0)
+        return _trusted(MilnorBundle, r - k, 0)
     raise InvalidArgument(f"mode must be 'principal' or 'nonprincipal', got {mode!r}")

@@ -184,8 +184,8 @@ def graded_table(cohomology: list) -> str:
 
 def weighted_type_json(bp: bk.BrieskornPham) -> dict:
     """Degree, weights, canonical type and Gorenstein parameter of bp."""
-    ell, weights = bk.weights_and_degree(bp)
-    kind, gorenstein = bk.canonical_type_from_weights(ell, weights)
+    ell, weights = bp.weights_and_degree
+    kind, gorenstein = bp.canonical_type
     return {
         "degree": ell,
         "weights": list(weights),
@@ -272,9 +272,9 @@ def cmd_brieskorn(args) -> dict:
     values = spectrum_json(bp) if args.spectrum else None
     payload = {
         "exponents": list(bp.exponents),
-        "milnor_number": bk.milnor_number(bp),
+        "milnor_number": bp.milnor_number,
         **weighted_type_json(bp),
-        "sphere_link_family": bk.in_sphere_link_family(bp),
+        "sphere_link_family": bp.in_sphere_link_family,
     }
     if values is not None:
         payload["spectrum"] = values
@@ -481,7 +481,7 @@ def cmd_family_report(args) -> dict:
     rows = []
     for k in range(args.start, args.end + 1):
         bp = bk.milnor_family(k)
-        mu = bk.milnor_number(bp)
+        mu = bp.milnor_number
         mu_formula = 2 * (6 * k - 2)
         rows.append(
             {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .brieskorn import BP8_ORDER, milnor_family, weights_and_degree
+from .brieskorn import BP8_ORDER, milnor_family
 from .errors import ConfigMismatch, InvalidArgument, InvalidRep, Unreachable, _require, _trusted
 
 
@@ -111,7 +111,7 @@ def compose(x, y):
     _require(_Residue, "group elements", (x, y))
     if type(x) is not type(y) or x.config != y.config:
         raise ConfigMismatch(f"cannot compose {x!r} with {y!r}")
-    return type(x)((x.residue + y.residue) % x.config.order, x.config)
+    return _trusted(type(x), (x.residue + y.residue) % x.config.order, x.config)
 
 
 def de_sapio_steps(start: Theta7Element, step: Theta7Element, target: Theta7Element) -> int:
@@ -146,7 +146,7 @@ def de_sapio_steps(start: Theta7Element, step: Theta7Element, target: Theta7Elem
 def fano_moduli_compose(r1: RepClass, r2: RepClass) -> RepClass:
     """Pointwise product of characters adds exponents."""
     _require(RepClass, "representations", (r1, r2))
-    return RepClass(r1.exponent + r2.exponent)
+    return _trusted(RepClass, r1.exponent + r2.exponent)
 
 
 def is_orbifold_rep(r: RepClass) -> bool:
@@ -165,11 +165,16 @@ class LinkIsotropy:
     b: int
     isotropy: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "support", _require(int, "isotropy support", self.support))
+        _require(int, "isotropy order", (self.b,))
+        object.__setattr__(self, "isotropy", _require(int, "isotropy", self.isotropy))
+
 
 def family_weights(k: int) -> tuple:
     """Circle-action weight vector on the k-th link:
     (6, 2(6k-1), 3(6k-1), 3(6k-1), 3(6k-1))."""
-    return weights_and_degree(milnor_family(k))[1]
+    return milnor_family(k).weights_and_degree[1]
 
 
 def link_isotropies(k: int, l: int) -> list:
@@ -188,5 +193,5 @@ def link_isotropies(k: int, l: int) -> list:
     for size in range(2, len(weights) + 1):
         for support in combinations(range(len(weights)), size):
             b = gcd(*(weights[i] for i in support))
-            out.append(LinkIsotropy(support, b, (b, l)))
+            out.append(_trusted(LinkIsotropy, support, b, (b, l)))
     return out

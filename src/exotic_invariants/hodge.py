@@ -18,7 +18,7 @@ from itertools import product
 
 from .abelian import GradedGroups, kunneth, sphere_cohomology
 from .bundles import MilnorBundle, bundle_cohomology
-from .errors import InvalidArgument, _require
+from .errors import InvalidArgument, _require, _trusted
 
 DIM = 4  # complex dimension of the stored grids
 
@@ -47,6 +47,9 @@ class HodgeDiamond:
     """5x5 grid h[p][q] of nonnegative integers with Serre duality."""
 
     h: tuple
+    # `__getitem__` takes (p, q) pairs, so Python's fallback iteration
+    # would read it as a sequence; a diamond is not one.
+    __iter__ = None
 
     def __post_init__(self):
         grid = _require(object, "Hodge grid", self.h)
@@ -172,9 +175,10 @@ def enumerate_admissible_diamonds(branch: str) -> list:
         for r in range(DIM + 1)
         if betti[r]
     ]
-    return [
-        HodgeDiamond.from_entries(
-            {cell: 1 for p, q in cells for cell in ((p, q), (DIM - p, DIM - q))}
-        )
-        for cells in product(*choices)
-    ]
+    diamonds = []
+    for cells in product(*choices):
+        grid = [[0] * (DIM + 1) for _ in range(DIM + 1)]
+        for p, q in cells:
+            grid[p][q] = grid[DIM - p][DIM - q] = 1
+        diamonds.append(_trusted(HodgeDiamond, tuple(map(tuple, grid))))
+    return diamonds

@@ -58,6 +58,9 @@ class IntMatrix:
     rows: int
     cols: int
     entries: tuple
+    # `__getitem__` takes (i, j) pairs, so Python's fallback iteration
+    # would read it as a sequence; an IntMatrix is not one.
+    __iter__ = None
 
     def __post_init__(self):
         _check_dims(self.rows, self.cols)

@@ -16,7 +16,7 @@ from math import gcd
 
 from .abelian import AbelianGroup
 from .bundles import MilnorBundle
-from .errors import DegenerateInput, NotPrincipal, _require
+from .errors import DegenerateInput, NotPrincipal, _require, _trusted
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def euler_preserving_dual(fb: FluxedBundle) -> FluxedBundle:
     _require(FluxedBundle, "fluxed bundle", (fb,))
     k = fb.bundle.euler
     j = fb.flux
-    return FluxedBundle(MilnorBundle(j, k - j), fb.bundle.m)
+    return _trusted(FluxedBundle, _trusted(MilnorBundle, j, k - j), fb.bundle.m)
 
 
 def principal_dual(fb: FluxedBundle) -> FluxedBundle:
@@ -58,7 +58,7 @@ def principal_dual(fb: FluxedBundle) -> FluxedBundle:
     if not b.is_principal:
         raise NotPrincipal(f"{b} has m*n != 0")
     m = (b if b.n == 0 else b.mirror()).m
-    return FluxedBundle(MilnorBundle(0, -fb.flux), m)
+    return _trusted(FluxedBundle, _trusted(MilnorBundle, 0, -fb.flux), m)
 
 
 def correspondence_h7(m: int, j: int) -> AbelianGroup:

@@ -83,13 +83,12 @@ def test_c05_family_identities():
         bp = ei.milnor_family(k)
         mu, basis = milnor_number_and_basis(bp)
         assert mu == len(basis) == 2 * (6 * k - 2)
-        assert ei.milnor_number(bp) == mu
+        assert bp.milnor_number == mu
         assert sum(Fraction(1, a) for a in bp.exponents) > 1
-        kind, _ = ei.canonical_type_from_weights(*ei.weights_and_degree(bp))
+        kind, _ = bp.canonical_type
         assert kind is ei.CanonicalType.FANO
-    ell, weights = ei.weights_and_degree(ei.milnor_family(1))
-    assert (ell, weights) == (30, (6, 10, 15, 15, 15))
-    _, gorenstein = ei.canonical_type_from_weights(ell, weights)
+    assert ei.milnor_family(1).weights_and_degree == (30, (6, 10, 15, 15, 15))
+    _, gorenstein = ei.milnor_family(1).canonical_type
     assert gorenstein == Fraction(31, 30)
     report(5, "family k=1..28: mu = 2(6k-2), Fano, k=1 weights and Gorenstein exact")
 
@@ -100,7 +99,7 @@ def test_c06_lattice_suite():
         exps = tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 4)))
         bp = ei.BrieskornPham(exps)
         lat = ei.milnor_lattice(bp)
-        mu = ei.milnor_number(bp)
+        mu = bp.milnor_number
         assert lat.rank == mu and lat.gram.rows == lat.gram.cols == mu
         assert all(lat.gram[i, i] == 2 for i in range(mu))
         assert lat.gram == lat.gram.transpose()
@@ -123,7 +122,7 @@ def test_c07_spectrum_suite():
         exps = tuple(rng.randint(2, 7) for _ in range(rng.randint(1, 4)))
         bp = ei.BrieskornPham(exps)
         ell, nums = ei.spectrum(bp)
-        assert len(nums) == ei.milnor_number(bp)
+        assert len(nums) == bp.milnor_number
         values = tuple(Fraction(x, ell) for x in nums)
         assert values[0] == sum(Fraction(1, a) for a in exps)
         top = Fraction(len(exps))

@@ -11,13 +11,9 @@ from exotic_invariants.brieskorn import (
     BP8_ORDER,
     BrieskornPham,
     CanonicalType,
-    canonical_type_from_weights,
-    in_sphere_link_family,
     milnor_family,
     milnor_lattice,
-    milnor_number,
     spectrum,
-    weights_and_degree,
 )
 from exotic_invariants.errors import InvalidArgument, OutOfFamily
 from exotic_invariants.snf import IntMatrix
@@ -37,11 +33,6 @@ from oracles import (
 exponent_vectors = st.lists(st.integers(2, 7), min_size=1, max_size=4).map(tuple)
 
 
-def canonical_type_of(bp):
-    """(type, Gorenstein parameter) of bp's weighted grading."""
-    return canonical_type_from_weights(*weights_and_degree(bp))
-
-
 def test_type_validation():
     with pytest.raises(ValueError):
         BrieskornPham(())
@@ -52,13 +43,13 @@ def test_type_validation():
 def test_milnor_number_examples():
     mu, basis = milnor_number_and_basis(BrieskornPham.of(5, 3, 2, 2, 2))
     assert mu == 8 and len(basis) == 8
-    assert milnor_number(BrieskornPham.of(5, 3, 2, 2, 2)) == mu
+    assert BrieskornPham.of(5, 3, 2, 2, 2).milnor_number == mu
     mu, basis = milnor_number_and_basis(BrieskornPham.of(2))
     assert mu == 1 and basis == [(0,)]
-    assert milnor_number(BrieskornPham.of(2)) == mu
+    assert BrieskornPham.of(2).milnor_number == mu
     mu, basis = milnor_number_and_basis(BrieskornPham.of(3, 3))
     assert mu == 4 and basis == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert milnor_number(BrieskornPham.of(3, 3)) == mu
+    assert BrieskornPham.of(3, 3).milnor_number == mu
 
 
 def test_a_lattice_examples():
@@ -90,7 +81,7 @@ def test_single_factor_lattice_is_chain_lattice():
 def test_lattice_shape_properties(exps):
     bp = BrieskornPham(exps)
     lat = milnor_lattice(bp)
-    mu = milnor_number(bp)
+    mu = bp.milnor_number
     assert lat.rank == mu
     g = lat.gram
     assert g.rows == g.cols == mu
@@ -144,7 +135,7 @@ def test_spectrum_examples():
 def test_spectrum_properties(exps):
     bp = BrieskornPham(exps)
     ell, nums = spectrum(bp)
-    assert (ell, len(nums)) == (weights_and_degree(bp)[0], milnor_number(bp))
+    assert (ell, len(nums)) == (bp.weights_and_degree[0], bp.milnor_number)
     assert nums == sorted(nums)
     values = spectrum_values(bp)
     assert values[0] == sum(Fraction(1, a) for a in exps)
@@ -171,42 +162,42 @@ def test_size_guard_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(brieskorn, "product", None)  # the lattice's first allocation
     with pytest.raises(InvalidArgument, match=r"milnor lattice of \(4,3\) has 36 entries"):
         milnor_lattice(BrieskornPham.of(4, 3))
-    monkeypatch.setattr(brieskorn, "weights_and_degree", None)  # runs before the spectrum's
+    monkeypatch.setattr(BrieskornPham, "weights_and_degree", None)  # runs before the spectrum's
     with pytest.raises(InvalidArgument, match=r"spectrum of \(5,6\) has 20 entries"):
         spectrum(BrieskornPham.of(5, 6))
 
 
 def test_size_limit_admits_the_family_lattices():
-    assert milnor_number(milnor_family(BP8_ORDER)) ** 2 <= brieskorn.MAX_ENTRIES
+    assert milnor_family(BP8_ORDER).milnor_number ** 2 <= brieskorn.MAX_ENTRIES
 
 
 def test_weights_examples():
-    assert weights_and_degree(BrieskornPham.of(5, 3, 2, 2, 2)) == (30, (6, 10, 15, 15, 15))
-    assert weights_and_degree(BrieskornPham.of(2, 2)) == (2, (1, 1))
-    assert weights_and_degree(BrieskornPham.of(11, 3, 2, 2, 2)) == (66, (6, 22, 33, 33, 33))
+    assert BrieskornPham.of(5, 3, 2, 2, 2).weights_and_degree == (30, (6, 10, 15, 15, 15))
+    assert BrieskornPham.of(2, 2).weights_and_degree == (2, (1, 1))
+    assert BrieskornPham.of(11, 3, 2, 2, 2).weights_and_degree == (66, (6, 22, 33, 33, 33))
 
 
 def test_canonical_type_examples():
-    kind, g = canonical_type_of(BrieskornPham.of(5, 3, 2, 2, 2))
+    kind, g = BrieskornPham.of(5, 3, 2, 2, 2).canonical_type
     assert kind is CanonicalType.FANO and g == Fraction(31, 30)
-    kind, g = canonical_type_of(BrieskornPham.of(3, 3, 3))
+    kind, g = BrieskornPham.of(3, 3, 3).canonical_type
     assert kind is CanonicalType.CALABI_YAU and g == 0
-    kind, g = canonical_type_of(BrieskornPham.of(7, 3, 2))
+    kind, g = BrieskornPham.of(7, 3, 2).canonical_type
     assert kind is CanonicalType.GENERAL_TYPE and g == Fraction(-1, 42)
 
 
 @given(st.lists(st.integers(2, 60), min_size=1, max_size=6).map(tuple))
 @settings(max_examples=200)
 def test_canonical_type_matches_fraction_sum_oracle(exps):
-    assert canonical_type_of(BrieskornPham(exps)) == fraction_sum_canonical_type(exps)
+    assert BrieskornPham(exps).canonical_type == fraction_sum_canonical_type(exps)
 
 
 @given(exponent_vectors)
 @settings(max_examples=60)
 def test_fano_iff_weight_excess(exps):
     bp = BrieskornPham(exps)
-    ell, weights = weights_and_degree(bp)
-    kind, _ = canonical_type_of(bp)
+    ell, weights = bp.weights_and_degree
+    kind, _ = bp.canonical_type
     assert (sum(weights) > ell) == (kind is CanonicalType.FANO)
 
 
@@ -221,12 +212,12 @@ def test_family_examples():
 def test_family_identities():
     for k in range(1, 29):
         bp = milnor_family(k)
-        assert milnor_number(bp) == 2 * (6 * k - 2)
-        assert in_sphere_link_family(bp)
-        kind, _ = canonical_type_of(bp)
+        assert bp.milnor_number == 2 * (6 * k - 2)
+        assert bp.in_sphere_link_family
+        kind, _ = bp.canonical_type
         assert kind is CanonicalType.FANO
-    assert not in_sphere_link_family(BrieskornPham.of(6, 3, 2, 2, 2))
-    assert not in_sphere_link_family(BrieskornPham.of(5, 3, 2, 2))
+    assert not BrieskornPham.of(6, 3, 2, 2, 2).in_sphere_link_family
+    assert not BrieskornPham.of(5, 3, 2, 2).in_sphere_link_family
 
 
 def test_family_membership_matches_shape_oracle():
@@ -239,7 +230,7 @@ def test_family_membership_matches_shape_oracle():
         for tail in tails:
             exps = (first, *tail)
             expected = sphere_link_family_shape(exps)
-            assert in_sphere_link_family(BrieskornPham(exps)) == expected, exps
+            assert BrieskornPham(exps).in_sphere_link_family == expected, exps
             members += expected
     assert members == 28
 

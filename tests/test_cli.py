@@ -269,7 +269,7 @@ def test_oversized_requests_exit_two(capsys, monkeypatch):
 
 def test_oversized_spectrum_is_refused_before_other_work(capsys, monkeypatch):
     monkeypatch.setattr(bk, "MAX_ENTRIES", 16)
-    monkeypatch.setattr(bk, "weights_and_degree", None)  # runs after the guard
+    monkeypatch.setattr(bk.BrieskornPham, "weights_and_degree", None)  # runs after the guard
     for argv in (["spectrum", "5", "6", "--json"], ["brieskorn", "5", "6", "--spectrum"]):
         assert run(argv) == 2
         out, err = capsys.readouterr()

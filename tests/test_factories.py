@@ -23,13 +23,9 @@ from exotic_invariants.abelian import (
 from exotic_invariants.brieskorn import (
     BrieskornPham,
     MilnorLattice,
-    canonical_type_from_weights,
-    in_sphere_link_family,
     milnor_family,
     milnor_lattice,
-    milnor_number,
     spectrum,
-    weights_and_degree,
 )
 from exotic_invariants.bundles import (
     MilnorBundle,
@@ -43,6 +39,7 @@ from exotic_invariants.bundles import (
 from exotic_invariants.errors import ConfigMismatch, InvalidArgument
 from exotic_invariants.groups import (
     GroupConfig,
+    LinkIsotropy,
     RepClass,
     Sigma8Element,
     Theta7Element,
@@ -184,7 +181,6 @@ REJECTED = {
     "GradedGroups int": (lambda: GradedGroups(5), InvalidArgument),
     "GradedGroups list of ints": (lambda: GradedGroups([1, 2]), InvalidArgument),
     "GradedGroups one-item pair": (lambda: GradedGroups([(0,)]), InvalidArgument),
-    "milnor_number tuple": (lambda: milnor_number((3, 2)), InvalidArgument),
     "milnor_lattice tuple": (lambda: milnor_lattice((3, 2)), InvalidArgument),
     "spectrum tuple": (lambda: spectrum((3, 2)), InvalidArgument),
     "lambda_invariant tuple": (lambda: lambda_invariant((1, 0)), InvalidArgument),
@@ -205,8 +201,6 @@ REJECTED = {
         InvalidArgument,
     ),
     "ddbar_constraints_check int": (lambda: ddbar_constraints_check(5, 1), InvalidArgument),
-    "weights_and_degree int": (lambda: weights_and_degree(5), InvalidArgument),
-    "in_sphere_link_family int": (lambda: in_sphere_link_family(5), InvalidArgument),
     "direct_sum int": (lambda: Z.direct_sum(5), InvalidArgument),
     "theta7 str": (lambda: theta7("3"), InvalidArgument),
     "theta7 int config": (lambda: theta7(1, 5), InvalidArgument),
@@ -218,18 +212,6 @@ REJECTED = {
     "Sigma8Element int config": (lambda: Sigma8Element(1, 5), InvalidArgument),
     "hopf_manifold_cohomology str": (lambda: hopf_manifold_cohomology("3", 1), InvalidArgument),
     "star_quotient str": (lambda: star_quotient("3", 1, "principal"), InvalidArgument),
-    "canonical_type_from_weights float": (
-        lambda: canonical_type_from_weights(2.5, [1]),
-        InvalidArgument,
-    ),
-    "canonical_type_from_weights zero": (
-        lambda: canonical_type_from_weights(0, [1]),
-        InvalidArgument,
-    ),
-    "canonical_type_from_weights int": (
-        lambda: canonical_type_from_weights(6, 5),
-        InvalidArgument,
-    ),
     "HodgeDiamond.from_entries int": (lambda: HodgeDiamond.from_entries(5), InvalidArgument),
     "HodgeDiamond.from_entries int key": (
         lambda: HodgeDiamond.from_entries({5: 1}),
@@ -260,6 +242,7 @@ REJECTED = {
         lambda: BrieskornPham(sphere_cohomology(7)),
         InvalidArgument,
     ),
+    "LinkIsotropy float order": (lambda: LinkIsotropy([0, 1], 2.5, None), InvalidArgument),
 }
 
 
@@ -298,7 +281,22 @@ def test_list_exponents_are_hashable():
 
 
 def test_list_exponents_are_in_the_sphere_link_family():
-    assert in_sphere_link_family(BrieskornPham([5, 3, 2, 2, 2]))
+    assert BrieskornPham([5, 3, 2, 2, 2]).in_sphere_link_family
+
+
+# `IntMatrix` and `HodgeDiamond` take (i, j) pairs in `__getitem__`; read
+# as a collection, each is refused by its type name, not by what Python's
+# fallback iteration would have fetched first.
+@pytest.mark.parametrize(
+    "value",
+    [IntMatrix.identity(2), HodgeDiamond.from_entries({(0, 0): 1, (4, 4): 1})],
+    ids=["IntMatrix", "HodgeDiamond"],
+)
+def test_pair_indexed_values_are_not_iterable(value):
+    name = type(value).__name__
+    with pytest.raises(InvalidArgument) as err:
+        BrieskornPham(value)
+    assert str(err.value) == f"exponents must be iterable: '{name}' object is not iterable"
 
 
 # Collections are stored as the tuples their check returns, so a value
@@ -310,6 +308,13 @@ def test_list_entries_equal_the_tuple():
     assert m == IntMatrix.from_rows([[1, 2]]) == IntMatrix(1, 2, (1, 2))
     assert hash(m) == hash(IntMatrix.from_rows([[1, 2]]))
     assert IntMatrix.from_diagonal(iter([2, 3])) == IntMatrix.from_rows([[2, 0], [0, 3]])
+
+
+def test_list_isotropy_record_equals_the_tuple():
+    record = LinkIsotropy([0, 1], 2, [2, 3])
+    assert record == LinkIsotropy((0, 1), 2, (2, 3))
+    assert hash(record) == hash(LinkIsotropy((0, 1), 2, (2, 3)))
+    assert record in link_isotropies(1, 3)
 
 
 def test_list_grid_equals_the_sparse_diamond():

@@ -73,7 +73,7 @@ def main(argv=None) -> None:
         bp = brieskorn.BrieskornPham.of(*exponents)
         argv = [command, *map(str, exponents), *flags, "--json"]
         layers = {"spectrum_json": lambda: cli.spectrum_json(bp)}
-        print(json.dumps(row(argv, "mu", brieskorn.milnor_number(bp), layers)), flush=True)
+        print(json.dumps(row(argv, "mu", bp.milnor_number, layers)), flush=True)
 
 
 if __name__ == "__main__":
