@@ -8,8 +8,6 @@ into standard and exotic ones.
 
 from exotic_invariants import (
     MilnorBundle,
-    bundle_cohomology,
-    canonical_form,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -40,10 +38,10 @@ print()
 print("The Gromoll-Meyer sphere M(2,-1) in detail")
 print("------------------------------------------")
 gm = MilnorBundle(2, -1)
-print("canonical representative:", canonical_form(gm))
-print("cohomology (closed form): ", bundle_cohomology(gm))
+print("canonical representative:", gm.canonical_form)
+print("cohomology (closed form): ", gm.cohomology)
 print("cohomology (Gysin solve): ", gysin_cohomology(gm))
-print("the two routes agree:", bundle_cohomology(gm) == gysin_cohomology(gm))
+print("the two routes agree:", gm.cohomology == gysin_cohomology(gm))
 
 print()
 print("Clutching maps multiply pointwise, so exponents add")

@@ -15,7 +15,6 @@ from exotic_invariants import (
     de_sapio_steps,
     family_weights,
     fano_moduli_compose,
-    is_orbifold_rep,
     link_isotropies,
     sigma33,
     theta7,
@@ -54,8 +53,8 @@ print("Moduli of circle representations q -> lambda^l q")
 print("------------------------------------------------")
 a, b = RepClass(3), RepClass(4)
 print("composition adds exponents:", fano_moduli_compose(a, b))
-print("l = 0 fixes everything (not an orbifold):", is_orbifold_rep(RepClass(0)))
-print("l = 7 has finite isotropy (orbifold):", is_orbifold_rep(RepClass(7)))
+print("l = 0 fixes everything (not an orbifold):", RepClass(0).is_orbifold)
+print("l = 7 has finite isotropy (orbifold):", RepClass(7).is_orbifold)
 
 print()
 print("Torus isotropy on the k = 1 link, twisted by l = 3")

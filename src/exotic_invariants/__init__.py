@@ -3,9 +3,11 @@ their spherical T-dual pairs, Brieskorn-Pham singularity links, and
 homotopy Hopf manifolds.
 
 Every computation is exact (arbitrary-precision integers and rationals).
-The bundle cohomology has a second, Smith-normal-form route
-(gysin_cohomology) that the tests check it against; the Kunneth products
-are checked against closed values and associativity.
+The closed-form bundle cohomology, the property MilnorBundle.cohomology,
+has a second, Smith-normal-form route (gysin_cohomology) that the tests
+check it against; the Kunneth products are checked against closed values
+and associativity.  Cheap invariants that every value has are properties
+of that value and check nothing.
 """
 
 from .abelian import (
@@ -29,8 +31,6 @@ from .brieskorn import (
 )
 from .bundles import (
     MilnorBundle,
-    bundle_cohomology,
-    canonical_form,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -58,7 +58,6 @@ from .groups import (
     de_sapio_steps,
     family_weights,
     fano_moduli_compose,
-    is_orbifold_rep,
     link_isotropies,
     sigma33,
     sigma8,

@@ -196,7 +196,7 @@ def sphere_cohomology(n: int) -> GradedGroups:
     if n < 0:
         raise InvalidArgument("sphere dimension must be nonnegative")
     if n == 0:
-        return _trusted(GradedGroups, ((0, AbelianGroup.free(2)),))
+        return _trusted(GradedGroups, ((0, _trusted(AbelianGroup, 2, ())),))
     return _trusted(GradedGroups, ((0, Z), (n, Z)))
 
 

@@ -126,7 +126,7 @@ class BrieskornPham:
         """True when the link is one of the 28 homotopy-7-sphere links, that
         is, when self is milnor_family(k) for the k its first exponent gives."""
         k = (self.exponents[0] + 1) // 6
-        return k in FAMILY_RANGE and self == milnor_family(k)
+        return k in FAMILY_RANGE and self == _FAMILY[k - 1]
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,13 @@ def spectrum(bp: BrieskornPham):
     return ell, nums
 
 
+# The link family, built once, so that `milnor_family` checks only its index.
+_FAMILY = tuple(_trusted(BrieskornPham, (6 * k - 1, 3, 2, 2, 2)) for k in FAMILY_RANGE)
+
+
 def milnor_family(k: int) -> BrieskornPham:
     """Member k of the exotic-sphere link family (6k-1, 3, 2, 2, 2)."""
     _require(int, "family index", (k,))
     if k not in FAMILY_RANGE:
         raise OutOfFamily(f"family index must be in 1..{BP8_ORDER}, got {k}")
-    return BrieskornPham.of(6 * k - 1, 3, 2, 2, 2)
+    return _FAMILY[k - 1]

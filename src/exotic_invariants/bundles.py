@@ -5,6 +5,10 @@ sends a unit quaternion x to the rotation v -> x^m v x^n.  The total
 space is a homotopy 7-sphere exactly when the Euler class m + n is +-1,
 and the mod-7 lambda invariant separates the standard sphere from the
 exotic ones inside that family.
+
+The cheap invariants of a bundle are properties of the checked
+`MilnorBundle` and check nothing; `lambda_invariant`, which can fail, and
+`gysin_cohomology`, the oracle route to `cohomology`, check it once.
 """
 
 from __future__ import annotations
@@ -44,17 +48,41 @@ class MilnorBundle:
         """The other classifying pair for the same total space: (-n, -m)."""
         return _trusted(MilnorBundle, -self.n, -self.m)
 
+    @property
+    def canonical_form(self) -> "MilnorBundle":
+        """Lexicographically smaller of (m, n) and its mirror (-n, -m).
+
+        Picks one representative per total space; idempotent by construction.
+
+        >>> MilnorBundle(2, -1).canonical_form
+        MilnorBundle(m=1, n=-2)
+        """
+        return min(self, self.mirror())
+
+    @property
+    def cohomology(self) -> GradedGroups:
+        """Integral cohomology of the total space, in closed form.
+
+        With k the Euler class: Z in degrees 0 and 7, Z in degrees 3 and 4
+        when k = 0, and Z/|k| in degree 4 otherwise (trivial for |k| = 1).
+        The Gysin-sequence solve in gysin_cohomology produces the same
+        answer from first principles and is tested against this on a large
+        range of k.
+
+        >>> MilnorBundle(3, 4).cohomology
+        GradedGroups({0: Z, 4: C7, 7: Z})
+        """
+        k = self.euler
+        groups = {0: Z, 7: Z}
+        if k == 0:
+            groups[3] = Z
+            groups[4] = Z
+        elif not self.is_homotopy_sphere:
+            groups[4] = _trusted(AbelianGroup, 0, (abs(k),))
+        return _trusted(GradedGroups, tuple(sorted(groups.items())))
+
     def __str__(self):
         return f"M({self.m},{self.n})"
-
-
-def canonical_form(b: MilnorBundle) -> MilnorBundle:
-    """Lexicographically smaller of (m, n) and its mirror (-n, -m).
-
-    Picks one representative per total space; idempotent by construction.
-    """
-    _require(MilnorBundle, "bundle", (b,))
-    return min(b, b.mirror())
 
 
 def lambda_invariant(b: MilnorBundle) -> int:
@@ -73,25 +101,6 @@ def lambda_invariant(b: MilnorBundle) -> int:
         raise NotHomotopySphere(f"{b} has euler class {b.euler}, not +-1")
     m = (b if b.euler == 1 else b.mirror()).m
     return ((2 * m - 1) ** 2 - 1) % 7
-
-
-def bundle_cohomology(b: MilnorBundle) -> GradedGroups:
-    """Integral cohomology of the total space, in closed form.
-
-    With k the Euler class: Z in degrees 0 and 7, Z in degrees 3 and 4 when
-    k = 0, and Z/|k| in degree 4 otherwise (trivial for |k| = 1).  The
-    Gysin-sequence solve in gysin_cohomology produces the same answer from
-    first principles and is tested against this on a large range of k.
-    """
-    _require(MilnorBundle, "bundle", (b,))
-    k = b.euler
-    groups = {0: Z, 7: Z}
-    if k == 0:
-        groups[3] = Z
-        groups[4] = Z
-    elif not b.is_homotopy_sphere:
-        groups[4] = AbelianGroup.cyclic(k)
-    return _trusted(GradedGroups, tuple(sorted(groups.items())))
 
 
 def gysin_cohomology(b: MilnorBundle) -> GradedGroups:

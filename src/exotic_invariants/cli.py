@@ -36,7 +36,7 @@ from . import brieskorn as bk
 from . import groups as gr
 from . import hodge as hg
 from .abelian import AbelianGroup, GradedGroups
-from .bundles import MilnorBundle, bundle_cohomology, canonical_form, lambda_invariant
+from .bundles import MilnorBundle, lambda_invariant
 from .errors import DomainError, InvalidArgument, OutOfFamily, _trusted
 from .tduality import (
     FluxedBundle,
@@ -217,13 +217,13 @@ def cmd_milnor(args) -> dict:
         lam = lambda_invariant(b)  # raises NotHomotopySphere when forced
     return {
         "bundle": bundle_json(b),
-        "canonical": bundle_json(canonical_form(b)),
+        "canonical": bundle_json(b.canonical_form),
         "euler": b.euler,
         "pontryagin": b.pontryagin,
         "principal": b.is_principal,
         "homotopy_sphere": b.is_homotopy_sphere,
         "lambda": lam,
-        "cohomology": graded_json(bundle_cohomology(b)),
+        "cohomology": graded_json(b.cohomology),
     }
 
 
@@ -393,8 +393,8 @@ def cmd_fano(args) -> dict:
     return {
         "exponents": args.exponents,
         "composite": total.exponent,
-        "composite_orbifold": gr.is_orbifold_rep(total),
-        "orbifold": [gr.is_orbifold_rep(c) for c in classes],
+        "composite_orbifold": total.is_orbifold,
+        "orbifold": [c.is_orbifold for c in classes],
     }
 
 

@@ -71,6 +71,16 @@ class RepClass:
     def __post_init__(self):
         _require(int, "representation exponent", (self.exponent,))
 
+    @property
+    def is_orbifold(self) -> bool:
+        """Whether the quotient by the representation is an orbifold: the
+        fixed set of q -> lambda^l q is all of the circle exactly when l = 0.
+
+        >>> RepClass(0).is_orbifold, RepClass(7).is_orbifold
+        (False, True)
+        """
+        return self.exponent != 0
+
 
 # The factories check their arguments and then build the reduced residue
 # through `_trusted`, so one call makes one set of checks.
@@ -147,13 +157,6 @@ def fano_moduli_compose(r1: RepClass, r2: RepClass) -> RepClass:
     """Pointwise product of characters adds exponents."""
     _require(RepClass, "representations", (r1, r2))
     return _trusted(RepClass, r1.exponent + r2.exponent)
-
-
-def is_orbifold_rep(r: RepClass) -> bool:
-    """Whether the quotient by the representation is an orbifold: the fixed
-    set of q -> lambda^l q is all of the circle exactly when l = 0."""
-    _require(RepClass, "representation", (r,))
-    return r.exponent != 0
 
 
 @dataclass(frozen=True)

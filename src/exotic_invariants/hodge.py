@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .abelian import GradedGroups, kunneth, sphere_cohomology
-from .bundles import MilnorBundle, bundle_cohomology
+from .bundles import MilnorBundle
 from .errors import InvalidArgument, _require, _trusted
 
 DIM = 4  # complex dimension of the stored grids
@@ -118,7 +118,8 @@ class HodgeDiamond:
 
 
 def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
-    """Integral cohomology of M(m, k-m) x S^1 via the product formula.
+    """Integral cohomology of M(m, k-m) x S^1 via the product formula,
+    from the bundle's `MilnorBundle.cohomology` and the circle's.
 
     Z sits in degrees 0, 1, 7, 8; away from Euler class +-1 a cyclic
     factor of order |k| appears in degree 4 and, through the tensor term
@@ -134,7 +135,7 @@ def hopf_manifold_cohomology(m: int, k: int) -> GradedGroups:
     constraints use the paper's vector.
     """
     _require(int, "clutching exponent and Euler class", (m, k))
-    total = bundle_cohomology(MilnorBundle(m, k - m))
+    total = _trusted(MilnorBundle, m, k - m).cohomology
     return kunneth(total, sphere_cohomology(1))
 
 

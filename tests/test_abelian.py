@@ -13,7 +13,7 @@ from exotic_invariants.abelian import (
     sphere_cohomology,
     tensor_and_tor,
 )
-from exotic_invariants.bundles import MilnorBundle, bundle_cohomology
+from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.hodge import hopf_manifold_cohomology
 from exotic_invariants.snf import IntMatrix
 from oracles import cofactor_determinant, kunneth_by_pairs
@@ -155,7 +155,7 @@ def test_hopf_manifold_cohomology_matches_the_pairwise_fold():
     circle = sphere_cohomology(1)
     for m in range(-6, 7):
         for k in range(-6, 7):
-            total = bundle_cohomology(MilnorBundle(m, k - m))
+            total = MilnorBundle(m, k - m).cohomology
             assert hopf_manifold_cohomology(m, k) == kunneth_by_pairs(total, circle), (m, k)
 
 

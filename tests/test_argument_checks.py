@@ -76,14 +76,15 @@ def checks(monkeypatch):
 
 
 def test_a_kunneth_request_checks_its_inputs_once(checks, capsys):
-    # 18 checks: the bundle (built, then passed on), the circle's
-    # dimension, the two graded groups, and two per normalization (each
-    # output degree and the degree-4 group).  Re-checking what the library
-    # built (at `GradedGroups`, and the table's rebuilt groups) made 35.
+    # 15 checks: the two integers, the circle's dimension, the two graded
+    # groups, and two for the normalization of each of the six output
+    # degrees.  Re-checking what the library built (at `GradedGroups`, and
+    # the table's rebuilt groups) made 35; checking the bundle as it went
+    # from `MilnorBundle` to its cohomology, and its degree-4 group, 19.
     for form in ([], ["--json"]):
         checks.clear()
         assert cli.run(["kunneth", "--m", "1", "--k", "3", *form]) == 0
-        assert 0 < len(checks) <= 20
+        assert 0 < len(checks) <= 15
     assert "H*(M(1,2) x S^1):" in capsys.readouterr().out
 
 
@@ -91,18 +92,28 @@ def test_a_kunneth_request_checks_its_inputs_once(checks, capsys):
 # bound is 0.  The tables made 18 and 14 when the values they rebuild to
 # print were checked again; the Brieskorn invariants, as functions that
 # each checked the singularity, made 10 and 168; the diamonds, built
-# through the public `from_entries`, made 20.
+# through the public `from_entries`, made 20.  The bundle and
+# representation invariants, as functions that checked their value again,
+# and the link family, built through the public constructor on each call,
+# made 4, 5, 4, 56, 8 and 5 for the milnor, milnor-torsion, brieskorn,
+# family-report, fano and isotropy rows.
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
 @pytest.mark.parametrize(
     "argv, bound",
     [
-        (["tdual", "--m", "3", "--k", "1", "--flux", "5"], 12),
-        (["milnor", "3", "4"], 8),
-        (["brieskorn", "5", "3", "2", "2", "2", "--spectrum"], 4),
-        (["family-report", "--start", "1", "--end", "28"], 56),
+        (["tdual", "--m", "3", "--k", "1", "--flux", "5"], 8),
+        (["milnor", "2", "-1"], 2),
+        (["milnor", "3", "4"], 1),
+        (["brieskorn", "5", "3", "2", "2", "2", "--spectrum"], 2),
+        (["family-report", "--start", "1", "--end", "28"], 28),
         (["hodge", "--branch", "unit"], 0),
+        (["fano", "3", "4"], 5),
+        (["isotropy", "1", "3"], 3),
     ],
-    ids=["tdual", "milnor", "brieskorn", "family-report", "hodge"],
+    ids=[
+        "tdual", "milnor", "milnor-torsion", "brieskorn", "family-report", "hodge", "fano",
+        "isotropy",
+    ],
 )
 def test_a_request_checks_its_inputs_once(checks, argv, bound, form):
     assert cli.run(argv + form) == 0

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 from exotic_invariants.abelian import GradedGroups, Z, AbelianGroup
 from exotic_invariants.bundles import (
     MilnorBundle,
-    bundle_cohomology,
-    canonical_form,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -34,15 +32,15 @@ def test_characteristic_classes_examples():
 
 
 def test_canonical_form_examples():
-    assert canonical_form(MilnorBundle(0, -5)) == MilnorBundle(0, -5)
-    assert canonical_form(MilnorBundle(2, -1)) == MilnorBundle(1, -2)
-    assert canonical_form(MilnorBundle(4, -4)) == MilnorBundle(4, -4)
+    assert MilnorBundle(0, -5).canonical_form == MilnorBundle(0, -5)
+    assert MilnorBundle(2, -1).canonical_form == MilnorBundle(1, -2)
+    assert MilnorBundle(4, -4).canonical_form == MilnorBundle(4, -4)
 
 
 @given(bundles_strategy)
 def test_canonical_form_idempotent_and_class_preserving(b):
-    c = canonical_form(b)
-    assert canonical_form(c) == c
+    c = b.canonical_form
+    assert c.canonical_form == c
     assert c in (b, b.mirror())
     assert c.euler in (b.euler, -b.euler)
     assert abs(c.pontryagin) == abs(b.pontryagin)
@@ -64,25 +62,25 @@ def test_lambda_rejects_non_spheres():
 def test_lambda_mirror_invariant():
     for m in range(-20, 21):
         for b in (MilnorBundle(m, 1 - m), MilnorBundle(m, -1 - m)):
-            assert lambda_invariant(b) == lambda_invariant(canonical_form(b))
+            assert lambda_invariant(b) == lambda_invariant(b.canonical_form)
             assert lambda_invariant(b) == lambda_invariant(b.mirror())
 
 
 def test_cohomology_examples():
     for m in (2, 3, 7):
-        coh = bundle_cohomology(MilnorBundle(m, 0))
+        coh = MilnorBundle(m, 0).cohomology
         assert coh == GradedGroups({0: Z, 4: AbelianGroup.cyclic(m), 7: Z})
-    assert bundle_cohomology(MilnorBundle(0, 0)) == GradedGroups(
+    assert MilnorBundle(0, 0).cohomology == GradedGroups(
         {0: Z, 3: Z, 4: Z, 7: Z}
     )
-    assert bundle_cohomology(MilnorBundle(2, -1)) == GradedGroups({0: Z, 7: Z})
+    assert MilnorBundle(2, -1).cohomology == GradedGroups({0: Z, 7: Z})
 
 
 def test_cohomology_matches_gysin_solve():
     for k in range(-25, 26):
         for m in (0, k, k + 3, -5):
             b = MilnorBundle(m, k - m)
-            assert bundle_cohomology(b) == gysin_cohomology(b), f"k={k}, m={m}"
+            assert b.cohomology == gysin_cohomology(b), f"k={k}, m={m}"
 
 
 def test_clutching_examples():

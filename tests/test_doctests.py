@@ -9,10 +9,10 @@ import exotic_invariants
 MIN_TRIED = {
     "abelian": 11,
     "brieskorn": 5,
-    "bundles": 1,
+    "bundles": 3,
     "cli": 2,
     "errors": 2,
-    "groups": 3,
+    "groups": 4,
     "hodge": 1,
     "snf": 9,
     "tduality": 1,

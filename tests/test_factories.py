@@ -29,8 +29,6 @@ from exotic_invariants.brieskorn import (
 )
 from exotic_invariants.bundles import (
     MilnorBundle,
-    bundle_cohomology,
-    canonical_form,
     clutching_compose,
     gysin_cohomology,
     lambda_invariant,
@@ -47,7 +45,6 @@ from exotic_invariants.groups import (
     de_sapio_steps,
     family_weights,
     fano_moduli_compose,
-    is_orbifold_rep,
     link_isotropies,
     sigma8,
     sigma33,
@@ -100,7 +97,6 @@ BUILDERS = {
     "kernel_group": lambda x: kernel_group(x),
     "rank": lambda x: rank(x),
     "determinant": lambda x: determinant(x),
-    "is_orbifold_rep": lambda x: is_orbifold_rep(x),
     "de_sapio_steps target": lambda x: de_sapio_steps(theta7(1), theta7(2), x),
     "sphere_cohomology": lambda x: sphere_cohomology(x),
 }
@@ -165,7 +161,6 @@ REJECTED = {
     "tensor_and_tor str": (lambda: tensor_and_tor(Z, "3"), InvalidArgument),
     "cokernel_group list": (lambda: cokernel_group([[1, 2]]), InvalidArgument),
     "kernel_group list": (lambda: kernel_group([[1, 2]]), InvalidArgument),
-    "is_orbifold_rep float": (lambda: is_orbifold_rep(2.5), InvalidArgument),
     "de_sapio_steps float": (
         lambda: de_sapio_steps(theta7(1), theta7(2), 2.5),
         InvalidArgument,
@@ -188,8 +183,6 @@ REJECTED = {
     "kunneth int": (lambda: kunneth(1, 2), InvalidArgument),
     "euler_preserving_dual int": (lambda: euler_preserving_dual(5), InvalidArgument),
     "principal_dual int": (lambda: principal_dual(5), InvalidArgument),
-    "canonical_form int": (lambda: canonical_form(5), InvalidArgument),
-    "bundle_cohomology int": (lambda: bundle_cohomology(5), InvalidArgument),
     "gysin_cohomology int": (lambda: gysin_cohomology(5), InvalidArgument),
     "clutching_compose int": (
         lambda: clutching_compose(5, MilnorBundle(1, 0)),
@@ -376,7 +369,7 @@ def test_library_built_groups_pass_the_public_checks(pair, free, orders, k):
     circle = kunneth(GradedGroups({0: g, 1: cokernel_group(a)}), sphere_cohomology(1))
     for h in built + [group for _, group in circle.items()]:
         assert AbelianGroup(h.free_rank, h.torsion) == h
-    graded = [circle, bundle_cohomology(MilnorBundle(1, k - 1)), sphere_cohomology(free)]
+    graded = [circle, MilnorBundle(1, k - 1).cohomology, sphere_cohomology(free)]
     for gg in graded:
         rebuilt = GradedGroups(dict(gg.items()))
         assert rebuilt == gg and hash(rebuilt) == hash(gg)

@@ -13,7 +13,6 @@ from exotic_invariants.groups import (
     de_sapio_steps,
     family_weights,
     fano_moduli_compose,
-    is_orbifold_rep,
     link_isotropies,
     sigma33,
     sigma8,
@@ -131,9 +130,9 @@ def test_fano_moduli_group_laws():
 
 
 def test_is_orbifold_rep():
-    assert not is_orbifold_rep(RepClass(0))
-    assert is_orbifold_rep(RepClass(1))
-    assert is_orbifold_rep(RepClass(7))
+    assert not RepClass(0).is_orbifold
+    assert RepClass(1).is_orbifold
+    assert RepClass(7).is_orbifold
 
 
 def test_log_transform_connects_any_two_classes():

@@ -4,6 +4,7 @@ AttributeError or ZeroDivisionError escapes from inside the library, and
 no call hangs on an argument it cannot read."""
 
 import inspect
+import typing
 from enum import Enum
 from fractions import Fraction
 
@@ -39,6 +40,27 @@ def public_callables() -> dict:
 
 
 CALLABLES = public_callables()
+
+# The exported functions whose one parameter is a library value, each with
+# the reason it is not a property of that value.  An invariant that every
+# value has and that is cheap to compute is a property (README,
+# Conventions); a function of one value stays a function when it fails on
+# some values, grows with its input, is the oracle route of a property, or
+# is one of the two duality rules shown side by side.
+ONE_VALUE_FUNCTIONS = {
+    "lambda_invariant": "fails: defined on homotopy spheres only",
+    "milnor_lattice": "fails and grows with the input: refuses above MAX_ENTRIES",
+    "spectrum": "fails and grows with the input: refuses above MAX_ENTRIES",
+    "determinant": "fails and grows with the input: square matrices only",
+    "cokernel_group": "grows with the input: a Smith normal form",
+    "kernel_group": "grows with the input: a Smith normal form",
+    "invariant_factors": "grows with the input: a Smith normal form",
+    "rank": "grows with the input: a Bareiss elimination",
+    "smith_normal_form": "grows with the input: a Smith normal form",
+    "gysin_cohomology": "oracle: the Gysin route that checks MilnorBundle.cohomology",
+    "euler_preserving_dual": "duality rule, side by side with principal_dual",
+    "principal_dual": "duality rule, side by side with euler_preserving_dual",
+}
 
 BUNDLE = ei.MilnorBundle(1, 0)
 LIBRARY_VALUES = [
@@ -79,6 +101,18 @@ def positional_slots(fn):
     if any(p.kind is p.VAR_POSITIONAL for p in params):
         return least, len(positional) + 3
     return least, len(positional)
+
+
+def test_functions_of_one_library_value_have_a_reason():
+    found = set()
+    for name, fn in CALLABLES.items():
+        if not inspect.isfunction(fn):
+            continue
+        params = list(inspect.signature(fn).parameters)
+        kind = typing.get_type_hints(fn).get(params[0]) if len(params) == 1 else None
+        if inspect.isclass(kind) and kind.__module__.startswith(f"{ei.__name__}."):
+            found.add(name)
+    assert found == set(ONE_VALUE_FUNCTIONS)
 
 
 def test_the_sweep_covers_the_public_classmethods():
