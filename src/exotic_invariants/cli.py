@@ -8,11 +8,14 @@ renderer, which reads only the payload and rebuilds the values it prints
 through `errors._trusted`, unchecked.  The --json output is byte-equal
 to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
 floats).  A list whose items are all exact ints (the type check comes
-first, so True and 2.0 never reach the table) is written as one join of
-prebuilt decimal texts for the ints from -1024 to 1024, so a gram entry
-costs a lookup and no int-to-text conversion; a list holding an int
-outside that range falls back to the list's repr.  The argument parser
-is built once per process and holds only argument grammar: `run` looks up
+first, so False, True, 0.0 and 2.0 never reach what follows) is written
+by zero runs when more than half its items are 0, as a family gram row
+is: each run of zeros is one repeated "0," text, and only the nonzero
+items are converted.  Any other exact-int list is written as one join of
+prebuilt decimal texts for the ints from -1024 to 1024, so an entry costs
+a lookup and no int-to-text conversion; a list holding an int outside
+that range falls back to the list's repr.  The argument parser is built
+once per process and holds only argument grammar: `run` looks up
 `cmd_<name>` and `<name>_table` in this module when each request arrives,
 with <name> the subcommand's name with "-" turned into "_", so every
 subcommand must keep that naming.
@@ -29,6 +32,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -79,8 +83,10 @@ def canonical_json(payload: dict) -> str:
 
     Only dict with str keys, list, str, int, bool and None are canonical;
     anything else, a float or a tuple among them, raises TypeError.  A list
-    of exact ints is written from the decimal table when every item is in
-    it, and from the list's repr otherwise; a list holding True or 2.0 is
+    of exact ints more than half of whose items are 0 is written by zero
+    runs, converting only its nonzero items; any other list of exact ints
+    is written from the decimal table when every item is in it, and from
+    the list's repr otherwise.  A list holding False, True, 0.0 or 2.0 is
     not an int list, and is written item by item.
 
     >>> print(canonical_json({"gram": [[2, -1], [-1, 2]], "rank": 2}))
@@ -96,6 +102,16 @@ def canonical_json(payload: dict) -> str:
         ]
       ],
       "rank": 2
+    }
+    >>> print(canonical_json({"row": [0, 0, -1, 0, 0]}))
+    {
+      "row": [
+        0,
+        0,
+        -1,
+        0,
+        0
+      ]
     }
     >>> canonical_json({"gram": [[2, -1], [-1, 2.0]]})
     Traceback (most recent call last):
@@ -128,17 +144,32 @@ def _emit(value, newline: str, parts: list) -> None:
         inner = newline + "  "
         kinds = set(map(type, value))
         if kinds == {int}:
-            # Exact ints only: True and 2.0 hash equal to 1 and 2, so the
-            # type check must come before the table lookup.
+            # Exact ints only: False, True, 0.0 and 2.0 compare and hash
+            # equal to 0, 1, 0 and 2, so the type check must come before
+            # the count of zeros and the table lookup.
             separator = "," + inner
-            try:
-                text = separator.join(map(_DECIMAL.__getitem__, value))
-            except KeyError:
-                # An int outside the table: an exact int's repr is its
-                # str, so the list's repr holds the items already written
-                # and only the separators change.
-                text = str(value)[1:-1].replace(", ", separator)
-            parts += ("[", inner, text, newline, "]")
+            parts += ("[", inner)
+            if 2 * value.count(0) > len(value):
+                # Mostly zeros: each run of them is one repeated text, and
+                # only the nonzero items are converted.
+                zero = "0" + separator
+                start = 0
+                for i in compress(range(len(value)), value):
+                    parts += (zero * (i - start), str(value[i]), separator)
+                    start = i + 1
+                if start < len(value):
+                    parts += (zero * (len(value) - start - 1), "0")
+                else:
+                    parts.pop()  # the separator after the last item
+            else:
+                try:
+                    parts.append(separator.join(map(_DECIMAL.__getitem__, value)))
+                except KeyError:
+                    # An int outside the table: an exact int's repr is its
+                    # str, so the list's repr holds the items already
+                    # written and only the separators change.
+                    parts.append(str(value)[1:-1].replace(", ", separator))
+            parts += (newline, "]")
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
             parts += ("[", inner, ("," + inner).join(items), newline, "]")

@@ -101,11 +101,9 @@ class IntMatrix:
             raise IndexError(ij)
         return self.entries[i * self.cols + j]
 
-    def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
-
     def to_lists(self) -> list:
-        return [self.row(i) for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c : i * c + c]) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         e, c = self.entries, self.cols

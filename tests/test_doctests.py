@@ -10,7 +10,7 @@ MIN_TRIED = {
     "abelian": 11,
     "brieskorn": 5,
     "bundles": 3,
-    "cli": 2,
+    "cli": 3,
     "errors": 2,
     "groups": 4,
     "hodge": 1,

@@ -326,7 +326,7 @@ def test_transforms_are_pinned():
 
 def hadamard_bits(m) -> int:
     """Bit length of Hadamard's bound on |det M|, the product of the row norms."""
-    return (isqrt(prod(sum(x * x for x in m.row(i)) for i in range(m.rows))) + 1).bit_length()
+    return (isqrt(prod(sum(x * x for x in row) for row in m.to_lists())) + 1).bit_length()
 
 
 def test_transforms_stay_near_hadamard_size():
@@ -344,6 +344,8 @@ def test_transforms_stay_near_hadamard_size():
 def test_transpose_and_matmul_shapes():
     m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
+    assert IntMatrix.zero(3, 0).to_lists() == [[], [], []]
+    assert IntMatrix.zero(0, 3).to_lists() == []
     with pytest.raises(ValueError):
         m @ m
 

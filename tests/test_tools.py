@@ -24,14 +24,17 @@ def test_render_layers_prints_one_line_per_input(tools, capsys):
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     assert [line["input"] for line in lines] == [
         "lattice 11 3 2 2 2 --json",
+        "lattice 2 2 2 3 11 --json",
         "spectrum 11 11 11 8 --json",
         "brieskorn 11 9 7 4 6 --spectrum --json",
     ]
-    lattice, *spectra = lines
-    assert list(lattice) == [
-        "input", "rank", "milnor_lattice_s", "to_lists_s", "canonical_json_s", "run_s", "bytes",
-    ]
-    assert lattice["rank"] == 20
+    lattices, spectra = lines[:2], lines[2:]
+    for lattice in lattices:
+        assert list(lattice) == [
+            "input", "rank", "milnor_lattice_s", "to_lists_s", "canonical_json_s", "run_s", "bytes",
+        ]
+        assert lattice["rank"] == 20
+    assert lattices[0]["bytes"] == lattices[1]["bytes"]
     for line in spectra:
         assert list(line) == ["input", "mu", "spectrum_json_s", "canonical_json_s", "run_s", "bytes"]
     assert [line["mu"] for line in spectra] == [7000, 7200]

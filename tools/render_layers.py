@@ -2,16 +2,19 @@
 
     PYTHONPATH=src python3 tools/render_layers.py [--k 2 4 ... 28]
 
-Inputs: the family lattices `lattice 6k-1 3 2 2 2 --json` for each k, and
-the two largest spectra of the `lattice-render` workload's size, `spectrum
-11 11 11 8 --json` (mu 7000) and `brieskorn 11 9 7 4 6 --spectrum --json`
-(mu 7200).  For each it prints one JSON line: the rank or mu, the best wall
-time (unscaled seconds, `snf_layers.best_seconds`) of the layer that builds
-the payload's big list (`milnor_lattice` and `to_lists` for a lattice,
-`spectrum_json` for a spectrum), of `canonical_json` on the whole payload
-and of the whole `cli.run`, and the bytes `cli.run` writes.  Everything is
-measured in the one process that runs it; set PYTHONPATH to another
-checkout's src/ to time that one.
+Inputs: the family lattices `lattice 6k-1 3 2 2 2 --json` for each k, each
+followed by the same lattice in ascending factor order, `lattice 2 2 2 3
+6k-1 --json`, whose gram rows hold the same entries in other places (the
+`lattice-render` workload shuffles the factors, so both layouts occur),
+and the two largest spectra of the `lattice-render` workload's size,
+`spectrum 11 11 11 8 --json` (mu 7000) and `brieskorn 11 9 7 4 6
+--spectrum --json` (mu 7200).  For each it prints one JSON line: the rank
+or mu, the best wall time (unscaled seconds, `snf_layers.best_seconds`) of
+the layer that builds the payload's big list (`milnor_lattice` and
+`to_lists` for a lattice, `spectrum_json` for a spectrum), of
+`canonical_json` on the whole payload and of the whole `cli.run`, and the
+bytes `cli.run` writes.  Everything is measured in the one process that
+runs it; set PYTHONPATH to another checkout's src/ to time that one.
 """
 
 from __future__ import annotations
@@ -61,14 +64,15 @@ def main(argv=None) -> None:
     parser.add_argument("--k", type=int, nargs="*", default=list(range(2, 29, 2)))
     args = parser.parse_args(argv)
     for k in args.k:
-        bp = brieskorn.milnor_family(k)
-        gram = brieskorn.milnor_lattice(bp).gram
-        layers = {
-            "milnor_lattice": lambda: brieskorn.milnor_lattice(bp),
-            "to_lists": gram.to_lists,
-        }
-        argv = ["lattice", *map(str, bp.exponents), "--json"]
-        print(json.dumps(row(argv, "rank", gram.rows, layers)), flush=True)
+        exponents = brieskorn.milnor_family(k).exponents
+        for bp in map(brieskorn.BrieskornPham, (exponents, sorted(exponents))):
+            gram = brieskorn.milnor_lattice(bp).gram
+            layers = {
+                "milnor_lattice": lambda: brieskorn.milnor_lattice(bp),
+                "to_lists": gram.to_lists,
+            }
+            argv = ["lattice", *map(str, bp.exponents), "--json"]
+            print(json.dumps(row(argv, "rank", gram.rows, layers)), flush=True)
     for command, exponents, flags in SPECTRA:
         bp = brieskorn.BrieskornPham.of(*exponents)
         argv = [command, *map(str, exponents), *flags, "--json"]
