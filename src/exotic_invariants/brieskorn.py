@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import comb, lcm, prod
 
@@ -68,7 +69,17 @@ MAX_ENTRIES = 2**22
 
 @dataclass(frozen=True)
 class BrieskornPham:
-    """Exponent vector of an isolated singularity sum(x_i^{a_i})."""
+    """Exponent vector of an isolated singularity sum(x_i^{a_i}).
+
+    The grading and the type it gives (the example sits here because
+    doctest does not collect a cached_property's docstring):
+
+    >>> bp = BrieskornPham.of(5, 3, 2, 2, 2)
+    >>> bp.weights_and_degree
+    (30, (6, 10, 15, 15, 15))
+    >>> bp.canonical_type[1]
+    Fraction(31, 30)
+    """
 
     exponents: tuple
 
@@ -91,15 +102,13 @@ class BrieskornPham:
         """The rank of the Milnor lattice, the product of the a_i - 1."""
         return prod(a - 1 for a in self.exponents)
 
-    @property
+    @cached_property
     def weights_and_degree(self):
         """(ell, weights): ell = lcm of the exponents, w_i = ell / a_i.
 
         These grade the coordinate ring so the defining polynomial is
-        weighted homogeneous of degree ell.
-
-        >>> BrieskornPham.of(5, 3, 2, 2, 2).weights_and_degree
-        (30, (6, 10, 15, 15, 15))
+        weighted homogeneous of degree ell.  Computed once per value and
+        kept: `canonical_type`, `spectrum` and the CLI's rows all read it.
         """
         ell = lcm(*self.exponents)
         return ell, tuple(ell // a for a in self.exponents)

@@ -7,15 +7,19 @@ output reproduces the bytes), otherwise through the subcommand's `*_table`
 renderer, which reads only the payload and rebuilds the values it prints
 through `errors._trusted`, unchecked.  The --json output is byte-equal
 to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
-floats).  A list whose items are all exact ints (the type check comes
-first, so False, True, 0.0 and 2.0 never reach what follows) is written
-by zero runs when more than half its items are 0, as a family gram row
-is: each run of zeros is one repeated "0," text, and only the nonzero
-items are converted.  Any other exact-int list is written as one join of
-prebuilt decimal texts for the ints from -1024 to 1024, so an entry costs
-a lookup and no int-to-text conversion; a list holding an int outside
-that range falls back to the list's repr.  The argument parser is built
-once per process and holds only argument grammar: `run` looks up
+floats), with each `IntMatrix` in the payload written as the list of its
+rows: a matrix is a canonical value, and the lattice payload carries its
+gram as one.  One writer serves every sequence of exact ints, a matrix
+row or a list.  A matrix's entries are exact ints by construction, so its
+rows, slices of its entries, need no type check; a list is an int list
+only after its type check, so False, True, 0.0 and 2.0 never reach the
+writer.  It uses zero runs when more than half the items are 0, as in a
+family gram row: each run of zeros is one repeated "0," text, and only
+the nonzero items are converted.  Any other int sequence is written as
+one join of prebuilt decimal texts for the ints from -1024 to 1024, so an
+entry costs a lookup and no int-to-text conversion; one holding an int
+outside that range is converted item by item.  The argument parser is
+built once per process and holds only argument grammar: `run` looks up
 `cmd_<name>` and `<name>_table` in this module when each request arrives,
 with <name> the subcommand's name with "-" turned into "_", so every
 subcommand must keep that naming.
@@ -42,6 +46,7 @@ from . import hodge as hg
 from .abelian import AbelianGroup, GradedGroups
 from .bundles import MilnorBundle, lambda_invariant
 from .errors import DomainError, InvalidArgument, OutOfFamily, _trusted
+from .snf import IntMatrix
 from .tduality import (
     FluxedBundle,
     correspondence_h7,
@@ -81,13 +86,31 @@ _DECIMAL = {i: str(i) for i in range(-1024, 1025)}
 def canonical_json(payload: dict) -> str:
     """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it.
 
-    Only dict with str keys, list, str, int, bool and None are canonical;
-    anything else, a float or a tuple among them, raises TypeError.  A list
-    of exact ints more than half of whose items are 0 is written by zero
-    runs, converting only its nonzero items; any other list of exact ints
-    is written from the decimal table when every item is in it, and from
-    the list's repr otherwise.  A list holding False, True, 0.0 or 2.0 is
-    not an int list, and is written item by item.
+    Only dict with str keys, list, str, int, bool, None and `IntMatrix`
+    are canonical; anything else, a float or a tuple among them, raises
+    TypeError.  An IntMatrix is written as `to_lists()` would be, the list
+    of its rows, each row read from its entries with no type check: they
+    are exact ints by construction.  A list is a list of exact ints only
+    after its type check: one holding False, True, 0.0 or 2.0 is not, and
+    is written item by item.  A row or int list more than half of whose
+    items are 0 is written by zero runs, converting only its nonzero
+    items; any other is written from the decimal table when every item is
+    in it, and item by item otherwise.
+
+    >>> from exotic_invariants.snf import IntMatrix
+    >>> print(canonical_json({"gram": IntMatrix.from_rows([[2, 0], [0, 2]])}))
+    {
+      "gram": [
+        [
+          2,
+          0
+        ],
+        [
+          0,
+          2
+        ]
+      ]
+    }
 
     >>> print(canonical_json({"gram": [[2, -1], [-1, 2]], "rank": 2}))
     {
@@ -147,29 +170,7 @@ def _emit(value, newline: str, parts: list) -> None:
             # Exact ints only: False, True, 0.0 and 2.0 compare and hash
             # equal to 0, 1, 0 and 2, so the type check must come before
             # the count of zeros and the table lookup.
-            separator = "," + inner
-            parts += ("[", inner)
-            if 2 * value.count(0) > len(value):
-                # Mostly zeros: each run of them is one repeated text, and
-                # only the nonzero items are converted.
-                zero = "0" + separator
-                start = 0
-                for i in compress(range(len(value)), value):
-                    parts += (zero * (i - start), str(value[i]), separator)
-                    start = i + 1
-                if start < len(value):
-                    parts += (zero * (len(value) - start - 1), "0")
-                else:
-                    parts.pop()  # the separator after the last item
-            else:
-                try:
-                    parts.append(separator.join(map(_DECIMAL.__getitem__, value)))
-                except KeyError:
-                    # An int outside the table: an exact int's repr is its
-                    # str, so the list's repr holds the items already
-                    # written and only the separators change.
-                    parts.append(str(value)[1:-1].replace(", ", separator))
-            parts += (newline, "]")
+            _emit_ints(value, newline, parts)
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
             parts += ("[", inner, ("," + inner).join(items), newline, "]")
@@ -193,8 +194,53 @@ def _emit(value, newline: str, parts: list) -> None:
             _emit(value[key], inner, parts)
             separator = "," + inner
         parts += (newline, "}")
+    elif kind is IntMatrix:
+        # Its entries are exact ints by construction: each row is a slice
+        # of them, written with no type check.
+        if not value.rows:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        entries, cols = value.entries, value.cols
+        separator = "[" + inner
+        for i in range(value.rows):
+            parts.append(separator)
+            _emit_ints(entries[i * cols : i * cols + cols], inner, parts)
+            separator = "," + inner
+        parts += (newline, "]")
     else:
         raise TypeError(f"{kind.__name__} is not canonical JSON")
+
+
+def _emit_ints(items, newline: str, parts: list) -> None:
+    """Append the JSON text of items, a list or tuple of exact ints, as
+    `_emit` does for a list."""
+    if not items:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    separator = "," + inner
+    parts += ("[", inner)
+    if 2 * items.count(0) > len(items):
+        # Mostly zeros: each run of them is one repeated text, and only the
+        # nonzero items are converted.
+        zero = "0" + separator
+        start = 0
+        for i in compress(range(len(items)), items):
+            parts += (zero * (i - start), str(items[i]), separator)
+            start = i + 1
+        if start < len(items):
+            parts += (zero * (len(items) - start - 1), "0")
+        else:
+            parts.pop()  # the separator after the last item
+    else:
+        try:
+            parts.append(separator.join(map(_DECIMAL.__getitem__, items)))
+        except KeyError:
+            # An int outside the table.  Not the repr of items: a
+            # one-item tuple's repr ends in a comma.
+            parts.append(separator.join(map(str, items)))
+    parts += (newline, "]")
 
 
 def _group(g: dict) -> AbelianGroup:
@@ -333,14 +379,14 @@ def cmd_lattice(args) -> dict:
         "exponents": list(bp.exponents),
         "rank": lat.rank,
         "index_set": [list(t) for t in lat.index_set],
-        "gram": lat.gram.to_lists(),
+        "gram": lat.gram,
     }
 
 
 def lattice_table(p: dict) -> str:
     bp = _trusted(bk.BrieskornPham, tuple(p["exponents"]))
     lines = [f"milnor lattice of {bp}: rank {p['rank']}"]
-    for row in p["gram"]:
+    for row in p["gram"].to_lists():
         lines.append("  " + " ".join(f"{x:3d}" for x in row))
     return "\n".join(lines)
 

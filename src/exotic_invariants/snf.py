@@ -45,14 +45,21 @@ class IntMatrix:
 
     The public constructors check what a caller passes: `IntMatrix(...)`,
     `from_rows` and `from_diagonal` the shape and that every entry is an
-    int, `identity` and `zero` their dimensions.  The entries are stored as
-    the tuple that the check returns.  Matrices whose entries the library
-    computes itself or has checked already (those of `identity` and `zero`,
-    of `from_rows` and `from_diagonal` after their check, `transpose`, `@`,
-    the outputs of `smith_normal_form` and the gram of
-    `brieskorn.milnor_lattice`) are made through `errors._trusted` without
-    the entry check: those entries are ints by construction, and checking
-    them again took about half the time of a large family lattice.
+    int, `identity` and `zero` their dimensions.  Each checked entry is
+    stored as `int(x)`: a bool becomes 0 or 1 and an int subclass a plain
+    int, so every IntMatrix holds exact ints, and `cli.canonical_json`
+    writes one as the list of its rows with no type check.  True == 1 and
+    both hash alike, so this changes no equality or hash.  Matrices whose
+    entries the library computes itself or has checked already (those of
+    `identity` and `zero`, of `from_rows` and `from_diagonal` after their
+    check, `transpose`, `@`, the outputs of `smith_normal_form` and the
+    gram of `brieskorn.milnor_lattice`) are made through `errors._trusted`
+    without the entry check: those entries are exact ints by construction,
+    and checking them again took about half the time of a large family
+    lattice.
+
+    >>> IntMatrix.from_rows([[True, 0], [0, 1]]).entries
+    (1, 0, 0, 1)
     """
 
     rows: int
@@ -67,7 +74,7 @@ class IntMatrix:
         entries = _require(int, "entries", self.entries)
         if len(entries) != self.rows * self.cols:
             raise InvalidArgument(f"expected {self.rows * self.cols} entries, got {len(entries)}")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(map(int, entries)))
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -75,7 +82,7 @@ class IntMatrix:
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise InvalidArgument("ragged rows")
-        return _trusted(cls, len(rows), ncols, tuple(chain.from_iterable(rows)))
+        return _trusted(cls, len(rows), ncols, tuple(map(int, chain.from_iterable(rows))))
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -90,7 +97,7 @@ class IntMatrix:
 
     @classmethod
     def from_diagonal(cls, diag) -> "IntMatrix":
-        d = _require(int, "entries", diag)
+        d = tuple(map(int, _require(int, "entries", diag)))
         n = len(d)
         entries = tuple(d[i] if i == j else 0 for i in range(n) for j in range(n))
         return _trusted(cls, n, n, entries)

@@ -205,14 +205,36 @@ SMALL_INTS = st.integers(-1100, 1100)
 
 
 @st.composite
-def sparse_int_lists(draw):
-    """Int lists of 1 to 12 items, at most 3 of them nonzero (from both
-    ranges above), as a family gram row is: canonical_json writes a list
-    more than half of whose items are 0 by zero runs."""
-    items = [0] * draw(st.integers(1, 12))
-    for _ in range(draw(st.integers(0, 3))):
+def sparse_int_lists(draw, sizes=st.integers(1, 12)):
+    """Int lists of a size drawn from sizes, at most 3 of their items
+    nonzero (from both ranges above), as a family gram row is:
+    canonical_json writes a list more than half of whose items are 0 by
+    zero runs."""
+    items = [0] * draw(sizes)
+    for _ in range(draw(st.integers(0, min(3, len(items))))):
         items[draw(st.integers(0, len(items) - 1))] = draw(SMALL_INTS | INTS)
     return items
+
+
+@st.composite
+def int_matrices(draw):
+    """IntMatrix values of 0 to 4 rows and 0 to 6 columns, each row dense
+    or mostly zeros, with ints from inside and outside the decimal table."""
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    dense = st.lists(SMALL_INTS | INTS, min_size=cols, max_size=cols)
+    row = dense | sparse_int_lists(st.just(cols))
+    return IntMatrix(rows, cols, tuple(x for _ in range(rows) for x in draw(row)))
+
+
+def matrices_as_lists(value):
+    """value with each IntMatrix in it replaced by its rows as lists."""
+    if type(value) is IntMatrix:
+        return value.to_lists()
+    if type(value) is list:
+        return [matrices_as_lists(item) for item in value]
+    if type(value) is dict:
+        return {key: matrices_as_lists(item) for key, item in value.items()}
+    return value
 
 
 JSON_VALUES = st.recursive(
@@ -245,10 +267,38 @@ JSON_VALUES = st.recursive(
 @example({"x": [0, 0, False, 0]}).via("False among zeros is written as false")
 @example({"x": [0, 0, 0.0, 0]}).via("0.0 among zeros is a float").xfail(raises=TypeError)
 @example({"gram": IntMatrix.from_rows([[True, 0, 0, 0]]).to_lists()}).via(
-    "IntMatrix accepts bools, so its rows can hold True"
+    "IntMatrix stores a bool entry as the int 0 or 1, so its rows hold 1, not True"
 )
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == canonical_json_oracle(payload)
+
+
+@given(
+    st.dictionaries(
+        TEXT,
+        st.recursive(
+            int_matrices() | JSON_VALUES,
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(TEXT, inner, max_size=3),
+            max_leaves=6,
+        ),
+        max_size=4,
+    )
+)
+@example({"a": IntMatrix.zero(0, 0), "b": IntMatrix.zero(0, 3), "c": IntMatrix.zero(3, 0)}).via(
+    "empty shapes"
+)
+@example({"one": IntMatrix.from_rows([[7]]), "zero": IntMatrix.from_rows([[0]])}).via("1 x 1")
+@example(
+    {"big": IntMatrix.from_rows([[10**30]]), "col": IntMatrix.from_rows([[-1025], [0], [1025]])}
+).via("one-entry rows outside the decimal table: a one-item tuple's repr ends in a comma")
+@example(
+    {"far": IntMatrix.from_rows([[0, 10**30, 0, 0], [0, 0, 0, -1025], [3, 10**30, -1, 5]])}
+).via("ints outside the decimal table among zeros and in a dense row")
+@example(
+    {"gram": [IntMatrix.identity(3), {"bool": IntMatrix.from_rows([[True, 0, 0]])}], "x": [0, False]}
+).via("matrices nested in a list and a dict, one built from a bool")
+def test_canonical_json_writes_a_matrix_as_its_rows(payload):
+    assert canonical_json(payload) == canonical_json_oracle(matrices_as_lists(payload))
 
 
 @pytest.mark.parametrize(
@@ -276,6 +326,8 @@ def test_canonical_json_rejects_non_canonical_values(payload):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["lattice", "5", "3", "2", "2", "2"],
+        ["lattice", "2", "2", "2", "3", "5"],
         ["lattice", "167", "3", "2", "2", "2"],
         # The factor order that lattice-render draws moves the zero runs.
         ["lattice", "2", "2", "167", "2", "3"],

@@ -153,6 +153,36 @@ def test_worked_example():
     assert d.diagonal() == [2, 4]
 
 
+class Two(int):
+    """An int subclass, which IntMatrix stores as a plain int."""
+
+
+@pytest.mark.parametrize(
+    "m, entries",
+    [
+        (IntMatrix(1, 1, (True,)), (1,)),
+        (IntMatrix(1, 2, [Two(2), False]), (2, 0)),
+        (IntMatrix.from_rows([[True, 0], [0, True]]), (1, 0, 0, 1)),
+        (IntMatrix.from_rows([(Two(2), True)]), (2, 1)),
+        (IntMatrix.from_diagonal([True, False]), (1, 0, 0, 0)),
+        (IntMatrix.from_diagonal([Two(2)]), (2,)),
+    ],
+    ids=["init bool", "init subclass", "from_rows bool", "from_rows subclass",
+         "from_diagonal bool", "from_diagonal subclass"],
+)
+def test_checked_entries_are_stored_as_exact_ints(m, entries):
+    assert m.entries == entries
+    assert [type(x) for x in m.entries] == [int] * len(entries)
+
+
+def test_smith_form_of_a_bool_matrix_has_int_diagonal():
+    m = IntMatrix.from_rows([[True, 0], [0, True]])
+    u, d, v = smith_normal_form(m)
+    assert d.diagonal() == [1, 1]
+    assert [type(x) for x in d.diagonal() + list(m.transpose().entries)] == [int] * 6
+    assert u @ m @ v == d
+
+
 @given(st.one_of(matrices(), shaped_matrices(), scaled_matrices()))
 @example(IntMatrix.zero(0, 0))
 @example(IntMatrix.zero(0, 3))

@@ -31,7 +31,7 @@ def test_render_layers_prints_one_line_per_input(tools, capsys):
     lattices, spectra = lines[:2], lines[2:]
     for lattice in lattices:
         assert list(lattice) == [
-            "input", "rank", "milnor_lattice_s", "to_lists_s", "canonical_json_s", "run_s", "bytes",
+            "input", "rank", "milnor_lattice_s", "canonical_json_s", "run_s", "bytes",
         ]
         assert lattice["rank"] == 20
     assert lattices[0]["bytes"] == lattices[1]["bytes"]

@@ -10,11 +10,12 @@ and the two largest spectra of the `lattice-render` workload's size,
 `spectrum 11 11 11 8 --json` (mu 7000) and `brieskorn 11 9 7 4 6
 --spectrum --json` (mu 7200).  For each it prints one JSON line: the rank
 or mu, the best wall time (unscaled seconds, `snf_layers.best_seconds`) of
-the layer that builds the payload's big list (`milnor_lattice` and
-`to_lists` for a lattice, `spectrum_json` for a spectrum), of
-`canonical_json` on the whole payload and of the whole `cli.run`, and the
-bytes `cli.run` writes.  Everything is measured in the one process that
-runs it; set PYTHONPATH to another checkout's src/ to time that one.
+the layer that builds the payload's big value (`milnor_lattice` for a
+lattice, whose gram goes into the payload as the IntMatrix it is,
+`spectrum_json` for a spectrum), of `canonical_json` on the whole payload
+and of the whole `cli.run`, and the bytes `cli.run` writes.  Everything
+is measured in the one process that runs it; set PYTHONPATH to another
+checkout's src/ to time that one.
 """
 
 from __future__ import annotations
@@ -66,13 +67,9 @@ def main(argv=None) -> None:
     for k in args.k:
         exponents = brieskorn.milnor_family(k).exponents
         for bp in map(brieskorn.BrieskornPham, (exponents, sorted(exponents))):
-            gram = brieskorn.milnor_lattice(bp).gram
-            layers = {
-                "milnor_lattice": lambda: brieskorn.milnor_lattice(bp),
-                "to_lists": gram.to_lists,
-            }
+            layers = {"milnor_lattice": lambda: brieskorn.milnor_lattice(bp)}
             argv = ["lattice", *map(str, bp.exponents), "--json"]
-            print(json.dumps(row(argv, "rank", gram.rows, layers)), flush=True)
+            print(json.dumps(row(argv, "rank", bp.milnor_number, layers)), flush=True)
     for command, exponents, flags in SPECTRA:
         bp = brieskorn.BrieskornPham.of(*exponents)
         argv = [command, *map(str, exponents), *flags, "--json"]
