@@ -7,8 +7,11 @@ no fixed-width array library is used.
 Three elimination loops serve three jobs.  A fraction-free (Bareiss) row
 elimination gives `rank`, which kernels need, `determinant`, and the
 pivot minor D that `invariant_factors` works modulo: one pass per column
-over Z/DZ gives the Smith diagonal alone, all that cokernels need.  The
-Bareiss pass leaves a row that a pivot column misses as it is and
+over Z/DZ gives the Smith diagonal alone, all that cokernels need.  For a
+square nonsingular M that pass runs modulo only the part of D at the
+primes D shares with the pivot before last, which holds d1 ... d(n-1);
+the rest of D goes into dn, and when that part is 1 the pass is skipped.
+The Bareiss pass leaves a row that a pivot column misses as it is and
 rescales it lazily, by the telescoped pivot ratio, when it is next used;
 the ratio divides exactly because the stored entries are minors of M.
 So a banded input, such as a family gram, costs about n w^2 big-integer
@@ -204,19 +207,39 @@ def invariant_factors(M: IntMatrix) -> list:
     over Z/DZ gives each di as a gcd with D (Hafner-McCurley, SIAM J. Comput.
     1991; Domich-Kannan-Trotter, Math. Oper. Res. 1987).
 
+    A square nonsingular M needs less.  Then D = d1...dn, and d1...d(n-1),
+    the gcd of the (n-1)-minors, divides the pivot before last p.  So every
+    prime of d1...d(n-1) divides gcd(D, p).  Split D = D1 D2, with D1 the
+    part of D at the primes of gcd(D, p): D2 is coprime to d1...d(n-1), so
+    it lies in dn alone, and the pass over Z/D1Z gives the gcds of the di
+    with D1, since Z^n / (M Z^n + D1 Z^n) is the sum of the Z/gcd(di, D1).
+    The last of these times D2 is dn.  When D1 = 1 the pass is skipped:
+    here p = 1, so D = 2 is all in d2.
+
+    >>> invariant_factors(IntMatrix.from_rows([[1, 2], [3, 4]]))
+    [1, 2]
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
     [2, 6, 12]
     """
-    r, d = _bareiss(M)
+    r, d, p = _bareiss(M)
     D = abs(d)
     factors = [1] * r
     if D > 1:
-        # Z^rows / (col span M + D Z^rows) is the sum of the Z/di and
-        # rows - r copies of Z/D, and every di divides D: so the chain of
-        # the diagonal's gcds, padded with 1s to rows entries, is d1, ...,
-        # dr and then D repeated.
-        orders = _diagonal_gcds(M.to_lists(), D)
-        factors = ([1] * (M.rows - len(orders)) + _gcd_lcm_exchange(orders))[:r]
+        D1, D2 = D, 1
+        if r == M.rows == M.cols:
+            D1, D2, g = 1, D, gcd(D, p)
+            while g > 1:
+                D1, D2 = D1 * g, D2 // g
+                g = gcd(D2, g)
+        if D1 > 1:
+            # Z^rows / (col span M + D1 Z^rows) is the sum of the
+            # Z/gcd(di, D1) and rows - r copies of Z/D1, and for D1 = D
+            # every di divides D1: so the chain of the diagonal's gcds,
+            # padded with 1s to rows entries, is gcd(d1, D1), ...,
+            # gcd(dr, D1) and then D1 repeated.
+            orders = _diagonal_gcds(M.to_lists(), D1)
+            factors = ([1] * (M.rows - len(orders)) + _gcd_lcm_exchange(orders))[:r]
+        factors[-1] *= D2
     return factors + [0] * (min(M.rows, M.cols) - r)
 
 
@@ -375,8 +398,10 @@ def smith_normal_form(M: IntMatrix):
 
 
 def _bareiss(M: IntMatrix):
-    """(r, d): the rank r of M and its leading r x r pivot minor d, signed
-    by the row swaps, by fraction-free (Bareiss) row elimination.
+    """(r, d, p): the rank r of M, its leading r x r pivot minor d, signed
+    by the row swaps, and the pivot before it p, the leading
+    (r - 1) x (r - 1) minor of the swapped rows (1 when r <= 1), by
+    fraction-free (Bareiss) row elimination.
 
     A column with no nonzero entry left below the pivot rows is skipped.
     Every entry below the pivot rows stays a minor of M, so each division
@@ -423,7 +448,7 @@ def _bareiss(M: IntMatrix):
                 level[i] = r + 1
         pivots.append(p)
         r += 1
-    return r, sign * pivots[r]
+    return r, sign * pivots[r], pivots[max(r - 1, 0)]
 
 
 def _rescale(row, c, now, then) -> None:
@@ -453,7 +478,7 @@ def determinant(M: IntMatrix) -> int:
     >>> determinant(IntMatrix.from_rows([[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [1, 0, 0, 2]]))
     45
     """
-    r, d = _bareiss(M)
+    r, d, _ = _bareiss(M)
     if M.rows != M.cols:
         raise InvalidArgument("determinant needs a square matrix")
     return d if r == M.rows else 0

@@ -1,13 +1,18 @@
 import random
+from contextlib import contextmanager
+from itertools import accumulate
 from math import gcd, isqrt, prod
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exotic_invariants import snf
 from exotic_invariants.brieskorn import FAMILY_RANGE, milnor_family, milnor_lattice
 from exotic_invariants.snf import (
     IntMatrix,
+    _bareiss,
     _bezout,
     determinant,
     invariant_factors,
@@ -267,6 +272,102 @@ def test_rank_bounded(m):
 @settings(max_examples=600)
 def test_invariant_factors_match_smith_diagonal(m):
     assert invariant_factors(m) == smith_normal_form(m)[1].diagonal()
+
+
+def unimodular(n):
+    """A unit lower times a unit upper triangular n x n matrix, its rows
+    permuted: determinant +-1."""
+
+    def triangular(cells, below):
+        return IntMatrix.from_rows(
+            [[cells[i * n + j] if (i > j) == below and i != j else int(i == j) for j in range(n)] for i in range(n)]
+        )
+
+    def build(t):
+        low, up, order = t
+        rows = (triangular(low, True) @ triangular(up, False)).to_lists()
+        return IntMatrix.from_rows([rows[i] for i in order])
+
+    cells = st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n)
+    return st.tuples(cells, cells, st.permutations(range(n))).map(build)
+
+
+def planted_chains(n):
+    """Chains d1 | ... | dn: d1 ... d(n-1) made of 2, 3 and 5, and dn is
+    d(n-1) times a power of one of them, which d(n-1) may already hold,
+    and times primes that the others lack."""
+
+    def chain(t):
+        steps, shared, power, fresh = t
+        head = list(accumulate(steps, mul))
+        return head + [(head[-1] if head else 1) * shared**power * fresh]
+
+    steps = st.lists(st.sampled_from([1, 2, 3, 4, 5, 6]), min_size=n - 1, max_size=n - 1)
+    fresh = st.sampled_from([1, 7, 11, 13, 77, 1001])
+    return st.tuples(steps, st.sampled_from([2, 3, 5]), st.integers(0, 3), fresh).map(chain)
+
+
+def planted_torsion(max_dim=5):
+    """U diag(d) V for unimodular U and V and a planted chain d."""
+    return st.integers(1, max_dim).flatmap(
+        lambda n: st.tuples(unimodular(n), planted_chains(n), unimodular(n))
+    ).map(lambda t: t[0] @ IntMatrix.from_diagonal(t[1]) @ t[2])
+
+
+@contextmanager
+def pass_moduli():
+    """The moduli of the `_diagonal_gcds` calls made inside the block."""
+    moduli, run = [], snf._diagonal_gcds
+
+    def spy(a, D):
+        moduli.append(D)
+        return run(a, D)
+
+    snf._diagonal_gcds = spy
+    try:
+        yield moduli
+    finally:
+        snf._diagonal_gcds = run
+
+
+# [[6]], where the pass is skipped; det 1; a singular square and a wide
+# matrix of full row rank, whose pivot minors hold a prime (3) that the
+# pivot before last lacks and that d_r lacks too, so a split of their
+# modulus would put it in d_r.
+@given(planted_torsion())
+@example(IntMatrix.from_rows([[6]]))
+@example(IntMatrix.from_rows([[2, 1], [1, 1]]))
+@example(IntMatrix.from_rows([[1, 0, 0], [0, 3, 1], [0, 6, 2]]))
+@example(IntMatrix.from_rows([[2, 0, 1], [0, 3, 1]]))
+@settings(max_examples=300)
+def test_modulus_split_keeps_the_smith_diagonal(m):
+    with pass_moduli() as moduli:
+        factors = invariant_factors(m)
+    assert factors == smith_normal_form(m)[1].diagonal()
+    r, d, _ = _bareiss(m)
+    D = abs(d)
+    if r == m.rows == m.cols:
+        # The pass runs modulo D1, the part of D at some of its primes,
+        # and D1 holds d(n-1) and so d1, ..., d(n-1); or it is skipped.
+        assert len(moduli) <= 1
+        D1 = moduli[0] if moduli else 1
+        assert D % D1 == 0 and gcd(D1, D // D1) == 1
+        assert r < 2 or D1 % factors[-2] == 0
+    else:
+        assert moduli == ([D] if D > 1 else [])
+
+
+@pytest.mark.parametrize(
+    "rows, moduli, factors",
+    [
+        ([[1, 2], [3, 4]], [], [1, 2]),  # det -2, pivot before last 1
+        ([[2, 0], [0, 40]], [16], [2, 40]),  # D = 80 = 16 * 5, pivot before last 2
+    ],
+)
+def test_modulus_of_the_pass(rows, moduli, factors):
+    with pass_moduli() as seen:
+        assert invariant_factors(IntMatrix.from_rows(rows)) == factors
+    assert seen == moduli
 
 
 signed = st.integers(-(2**90), 2**90)

@@ -4,6 +4,9 @@ themselves are not checked."""
 
 import importlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 from exotic_invariants.snf import IntMatrix
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src"
 
 
 @pytest.fixture
@@ -46,7 +50,37 @@ def test_render_layers_prints_one_line_per_input(tools, capsys):
 def test_snf_layers_row_on_a_small_matrix(tools):
     line = tools("snf_layers").row("small", IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert list(json.loads(json.dumps(line))) == [
-        "input", "shape", "rank", "D_bits", "invariant_factors_s", "bareiss_s", "ratio",
+        "input", "shape", "rank", "D_bits", "modulus_bits", "invariant_factors_s",
+        "bareiss_s", "ratio",
     ]
     assert line["input"] == "small"
-    assert (line["shape"], line["rank"], line["D_bits"]) == ([2, 2], 2, 4)
+    # det -8 and pivot before last 2: the pass runs modulo all of D = 8.
+    assert (line["shape"], line["rank"], line["D_bits"], line["modulus_bits"]) == ([2, 2], 2, 4, 4)
+
+
+def test_snf_layers_modulus_is_zero_when_the_pass_is_skipped(tools):
+    # det -2 and pivot before last 1: D2 = 2 goes into d2 with no pass.
+    line = tools("snf_layers").row("skipped", IntMatrix.from_rows([[1, 2], [3, 4]]))
+    assert (line["D_bits"], line["modulus_bits"]) == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [("render_layers.py", ["--k", "2"]), ("snf_layers.py", ["--k", "6", "10"])],
+)
+def test_closed_stdout_exits_one_without_traceback(script, argv):
+    """The reader closes the pipe after the first line; the lines after it
+    take longer to compute than that, so a later write fails."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, str(TOOLS / script), *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert json.loads(proc.stdout.readline())
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr
+    assert stderr == ""

@@ -15,7 +15,8 @@ lattice, whose gram goes into the payload as the IntMatrix it is,
 `spectrum_json` for a spectrum), of `canonical_json` on the whole payload
 and of the whole `cli.run`, and the bytes `cli.run` writes.  Everything
 is measured in the one process that runs it; set PYTHONPATH to another
-checkout's src/ to time that one.
+checkout's src/ to time that one.  Like `cli.main`, it exits 1 with no
+traceback when its reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import contextlib
 import io
 import json
 
-from snf_layers import best_seconds
+from snf_layers import best_seconds, exit_quietly_on_broken_pipe
 
 from exotic_invariants import brieskorn, cli
 
@@ -78,4 +79,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    exit_quietly_on_broken_pipe(main)

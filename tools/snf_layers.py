@@ -5,19 +5,24 @@
 Inputs: one 80x80 matrix with entries uniform in [-20, 20]
 (random.Random(80)), and the paper-rule family grams of
 `milnor_lattice(milnor_family(k))`.  For each it prints one JSON line: the
-shape, the rank, the bit length of the pivot minor D, the best wall time of
-`invariant_factors` and of `_bareiss` over REPEATS runs (unscaled seconds),
-and their ratio, all measured in the one process that runs it.  The dense
-line also gives the best wall time of `smith_normal_form` and the largest
-bit length of an entry of its transforms U and V.  Set PYTHONPATH to
-another checkout's src/ to time that one.
+shape, the rank, the bit length of the pivot minor D, the bit length of the
+modulus that `invariant_factors` ran its pass `_diagonal_gcds` with (0 when
+it skipped the pass), the best wall time of `invariant_factors` and of
+`_bareiss` over REPEATS runs (unscaled seconds), and their ratio, all
+measured in the one process that runs it.  The dense line also gives the
+best wall time of `smith_normal_form` and the largest bit length of an
+entry of its transforms U and V.  Set PYTHONPATH to another checkout's src/
+to time that one.  Like `cli.main`, it exits 1 with no traceback when its
+reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
+import sys
 from time import perf_counter
 
 from exotic_invariants import brieskorn, snf
@@ -37,8 +42,26 @@ def best_seconds(fns) -> list:
     return best
 
 
+def pass_modulus(M) -> int:
+    """The modulus `invariant_factors(M)` runs `_diagonal_gcds` with, or 0
+    when it skips that pass."""
+    moduli, run = [0], snf._diagonal_gcds
+
+    def spy(a, D):
+        moduli.append(D)
+        return run(a, D)
+
+    snf._diagonal_gcds = spy
+    try:
+        snf.invariant_factors(M)
+    finally:
+        snf._diagonal_gcds = run
+    return moduli[-1]
+
+
 def row(label: str, M) -> dict:
-    r, d = snf._bareiss(M)
+    # `_bareiss` returns (r, d, p); an older checkout's returns (r, d).
+    r, d = snf._bareiss(M)[:2]
     factors_s, bareiss_s = best_seconds(
         [lambda: snf.invariant_factors(M), lambda: snf._bareiss(M)]
     )
@@ -47,6 +70,7 @@ def row(label: str, M) -> dict:
         "shape": [M.rows, M.cols],
         "rank": r,
         "D_bits": abs(d).bit_length(),
+        "modulus_bits": pass_modulus(M).bit_length(),
         "invariant_factors_s": round(factors_s, 4),
         "bareiss_s": round(bareiss_s, 4),
         "ratio": round(factors_s / bareiss_s, 2),
@@ -72,5 +96,19 @@ def main(argv=None) -> None:
         print(json.dumps(row(f"family gram k={k}", gram)), flush=True)
 
 
+def exit_quietly_on_broken_pipe(main) -> None:
+    """Run `main()`; if the reader closes stdout early, exit 1 with no
+    traceback, as `cli.main` does."""
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(1)
+
+
 if __name__ == "__main__":
-    main()
+    exit_quietly_on_broken_pipe(main)
