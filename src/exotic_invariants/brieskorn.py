@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from math import comb, lcm, prod
 
@@ -67,12 +66,28 @@ FAMILY_RANGE = range(1, BP8_ORDER + 1)
 MAX_ENTRIES = 2**22
 
 
+class _kept:
+    """A property read once per instance: the first read stores the value
+    in the instance `__dict__`, where every later read finds it before this
+    descriptor.  It is `functools.cached_property` as Python 3.12 has it,
+    without the lock that 3.11's takes on each first read.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class BrieskornPham:
     """Exponent vector of an isolated singularity sum(x_i^{a_i}).
 
-    The grading and the type it gives (the example sits here because
-    doctest does not collect a cached_property's docstring):
+    The grading and the type it gives:
 
     >>> bp = BrieskornPham.of(5, 3, 2, 2, 2)
     >>> bp.weights_and_degree
@@ -102,7 +117,7 @@ class BrieskornPham:
         """The rank of the Milnor lattice, the product of the a_i - 1."""
         return prod(a - 1 for a in self.exponents)
 
-    @cached_property
+    @_kept
     def weights_and_degree(self):
         """(ell, weights): ell = lcm of the exponents, w_i = ell / a_i.
 

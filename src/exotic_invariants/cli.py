@@ -22,7 +22,11 @@ outside that range is converted item by item.  The argument parser is
 built once per process and holds only argument grammar: `run` looks up
 `cmd_<name>` and `<name>_table` in this module when each request arrives,
 with <name> the subcommand's name with "-" turned into "_", so every
-subcommand must keep that naming.
+subcommand must keep that naming.  When argv[0] names a subcommand,
+`parse_args` hands the rest of argv straight to that subcommand's parser;
+the top-level parser answers only help, a missing or unknown subcommand
+and arguments left over, so every usage error reads as a full parse
+writes it.
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
@@ -597,7 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     Every call returns the same parser, so callers must not mutate it.  It
     carries argument grammar only, no functions: `run` finds each
     subcommand's `cmd_<name>` and `<name>_table` by name, so a replacement
-    of either in this module takes effect on the next request.
+    of either in this module takes effect on the next request.  Its
+    `subcommands` maps each subcommand's name to that subcommand's parser,
+    which `parse_args` calls directly; the top-level parser itself answers
+    only help, a missing or unknown subcommand and leftover arguments.
     """
     parser = argparse.ArgumentParser(
         prog="exotic-invariants",
@@ -688,13 +695,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=bk.FAMILY_RANGE[0])
     p.add_argument("--end", type=int, default=bk.FAMILY_RANGE[-1])
 
+    parser.subcommands = sub.choices
     return parser
 
 
-def run(argv) -> int:
+def parse_args(argv) -> argparse.Namespace:
+    """argv parsed as `build_parser().parse_args(argv)` parses it.
+
+    When argv[0] names a subcommand, that subcommand's parser parses the
+    rest directly, as the top-level parser would hand it on.  Any other
+    argv, and one with arguments left over, goes to the top-level parser,
+    which answers help and reports each usage error as a full parse does.
+    """
     parser = build_parser()
+    if argv and argv[0] in parser.subcommands:
+        args, extras = parser.subcommands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def run(argv) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as e:
         return e.code
     name = args.command.replace("-", "_")

@@ -7,17 +7,21 @@ as its symmetrised Euler form, a second route to the milnor_lattice gram
 of a single exponent; hopf_hodge_numbers and mall_diamond give the
 standard diamond of S^7 x S^1, which enumerate_admissible_diamonds(UNIT)
 must return; kunneth_by_pairs is the product formula one pair of degrees
-at a time, a second route to kunneth.
+at a time, a second route to kunneth.  cli_run_oracle is `cli.run` with
+every argv parsed by the top-level parser, the route `cli.parse_args`
+takes only for help, errors and leftover arguments.
 """
 
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
+from exotic_invariants import cli
 from exotic_invariants.abelian import TRIVIAL, GradedGroups, tensor_and_tor
 from exotic_invariants.brieskorn import CanonicalType
-from exotic_invariants.errors import InvalidArgument
+from exotic_invariants.errors import DomainError, InvalidArgument
 from exotic_invariants.hodge import DIM, HodgeDiamond
 from exotic_invariants.snf import IntMatrix
 
@@ -249,6 +253,28 @@ def canonical_json_oracle(payload):
     """The standard library's rendering of canonical CLI JSON: sorted keys,
     two-space indent, ASCII escapes.  Reference for cli.canonical_json."""
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def cli_run_oracle(argv):
+    """`cli.run(argv)` with argv parsed whole by `build_parser().parse_args`,
+    the top-level parser handing argv[1:] on to the subcommand's parser,
+    and the payload computed and printed as `run` does."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
+    name = args.command.replace("-", "_")
+    try:
+        payload = getattr(cli, f"cmd_{name}")(args)
+    except (DomainError, InvalidArgument) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2 if isinstance(e, InvalidArgument) else 1
+    if args.json:
+        payload["schema_version"] = cli.SCHEMA_VERSION
+        print(cli.canonical_json(payload))
+    else:
+        print(getattr(cli, f"{name}_table")(payload))
+    return 0
 
 
 def hopf_hodge_numbers(n):

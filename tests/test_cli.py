@@ -16,7 +16,7 @@ from exotic_invariants import brieskorn as bk
 from exotic_invariants import cli
 from exotic_invariants.cli import canonical_json, rational_str, run
 from exotic_invariants.snf import IntMatrix
-from oracles import canonical_json_oracle, fraction_sum_spectrum
+from oracles import canonical_json_oracle, cli_run_oracle, fraction_sum_spectrum
 from test_cli_goldens import SUBCOMMANDS, invoke
 
 COMMANDS = [
@@ -402,6 +402,66 @@ def test_shared_parser_matches_a_fresh_parser_per_request(monkeypatch):
     assert out[6].startswith("{") and out[7].startswith("H*(")
 
 
+def _option_strings_and_prefixes(parser):
+    """Every option string of parser, and each prefix of a long one that
+    argparse may expand to it: "--s", "--sp", ... "--spectrum"."""
+    tokens = set()
+    for action in parser._actions:
+        for option in action.option_strings:
+            tokens.update(option[:end] for end in range(3, len(option) + 1))
+            tokens.add(option)
+    return sorted(tokens)
+
+
+SUBPARSERS = cli.build_parser().subcommands
+OPTIONS = {name: _option_strings_and_prefixes(p) for name, p in SUBPARSERS.items()}
+ALL_OPTIONS = sorted(set().union(*OPTIONS.values()))
+NAMES = SUBCOMMANDS + ["frobnicate", "mil", "family_report", "Milnor", ""]
+FLAGS = ["-h", "--help", "--json", "--"]
+JUNK = st.sampled_from(["x", "-", "-x", "--x", "1.5", "1e3", "0x1", "--json=1", "-j", "=", " "])
+INT_TOKENS = st.integers(-9, 9).map(str)
+
+
+@st.composite
+def argvs(draw):
+    """An argv of at most one top-level flag (one draw in four), at most one
+    name and up to 5 more tokens: ints from -9 to 9 (twice as likely as any
+    other kind), the named subcommand's own option strings and their
+    prefixes, any subcommand's, the flags, names, the hodge branches and
+    junk."""
+    head = draw(st.sampled_from([[]] * 12 + [[flag] for flag in FLAGS]))
+    name = draw(st.sampled_from(NAMES + [None]))
+    own = OPTIONS.get(name, ALL_OPTIONS)
+    tokens = (
+        INT_TOKENS
+        | INT_TOKENS
+        | st.sampled_from(own)
+        | st.sampled_from(ALL_OPTIONS)
+        | st.sampled_from(FLAGS + NAMES + ["unit", "nonunit"])
+        | JUNK
+        | st.text(max_size=3)
+    )
+    return head + ([] if name is None else [name]) + draw(st.lists(tokens, max_size=5))
+
+
+@given(argvs())
+@example([])
+@example(["--", "milnor", "1", "2"])
+@example(["milnor", "--", "-1", "2"])
+@example(["theta7", "1", "2", "--st", "1", "2", "3", "--json"])
+@example(["milnor", "1", "2", "-h"])
+@example(["fano", "3", "--order", "0"])
+@example(["tdual", "--m", "3", "--k", "1", "--flux", "5", "--principal"])
+@example(["family-report", "--start", "1", "--end", "2", "--json"])
+def test_run_matches_the_top_level_parser_route(argv):
+    """Whatever argv is, `run` answers with the exit code, stdout and stderr
+    of parsing all of it with the top-level parser, and never escapes with a
+    traceback."""
+    expected = invoke(argv, cli_run_oracle)
+    assert invoke(argv) == expected
+    assert expected["rc"] in (0, 1, 2) and "Traceback" not in expected["stderr"]
+
+
 def test_every_subcommand_has_a_payload_and_a_table():
     (subparsers,) = [
         action
@@ -409,6 +469,7 @@ def test_every_subcommand_has_a_payload_and_a_table():
         if isinstance(action, argparse._SubParsersAction)
     ]
     assert list(subparsers.choices) == SUBCOMMANDS
+    assert cli.build_parser().subcommands is subparsers.choices
     for name in (choice.replace("-", "_") for choice in subparsers.choices):
         assert callable(getattr(cli, f"cmd_{name}"))
         assert callable(getattr(cli, f"{name}_table"))

@@ -1,10 +1,12 @@
 """Byte-for-byte replay of recorded CLI invocations.
 
 `goldens/cli.json` holds (argv, rc, stdout, stderr) for every argv below,
-once in table mode and once with --json, and `goldens/cli_help.json` the
-same for the top-level --help and each subcommand's --help.  Every
+once in table mode and once with --json, `goldens/cli_help.json` the
+same for the top-level --help and each subcommand's --help, and
+`goldens/cli_usage.json` the same for the usage errors of USAGE_ARGV,
+which the top-level parser or a subcommand's parser reports.  Every
 invocation runs at COLUMNS=80, because argparse wraps help and usage
-messages to the terminal width.  Re-record both with
+messages to the terminal width.  Re-record all three with
 
     PYTHONPATH=src python tests/test_cli_goldens.py
 
@@ -24,12 +26,26 @@ from exotic_invariants.cli import run
 
 GOLDENS = Path(__file__).parent / "goldens" / "cli.json"
 HELP_GOLDENS = Path(__file__).parent / "goldens" / "cli_help.json"
+USAGE_GOLDENS = Path(__file__).parent / "goldens" / "cli_usage.json"
 
 SUBCOMMANDS = [
     "milnor", "tdual", "brieskorn", "lattice", "spectrum", "theta7",
     "sigma8", "fano", "isotropy", "hodge", "kunneth", "family-report",
 ]
 HELP_ARGV = [["--help"]] + [[name, "--help"] for name in SUBCOMMANDS]
+# No subcommand, an unknown one, a missing, a mistyped and a leftover
+# positional, an option before the subcommand, a bad choice, and an option
+# short of its arguments.
+USAGE_ARGV = [
+    [],
+    ["frobnicate"],
+    ["milnor", "1"],
+    ["milnor", "x", "1"],
+    ["milnor", "1", "2", "extra"],
+    ["--json", "milnor", "1", "2"],
+    ["hodge", "--branch", "sideways"],
+    ["theta7", "1", "2", "--steps", "1", "2"],
+]
 
 ARGV = [
     ["milnor", "2", "-1"],
@@ -87,7 +103,7 @@ ARGV = [
 ]
 
 
-def invoke(argv) -> dict:
+def invoke(argv, run=run) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(out), redirect_stderr(err):
         rc = run(argv)
@@ -100,10 +116,13 @@ def record() -> None:
     GOLDENS.write_text(json.dumps(entries, indent=1) + "\n")
     help_entries = [invoke(argv) for argv in HELP_ARGV]
     HELP_GOLDENS.write_text(json.dumps(help_entries, indent=1) + "\n")
+    usage_entries = [invoke(argv) for argv in USAGE_ARGV]
+    USAGE_GOLDENS.write_text(json.dumps(usage_entries, indent=1) + "\n")
 
 
 GOLDEN_ENTRIES = json.loads(GOLDENS.read_text()) if GOLDENS.exists() else []
 HELP_ENTRIES = json.loads(HELP_GOLDENS.read_text()) if HELP_GOLDENS.exists() else []
+USAGE_ENTRIES = json.loads(USAGE_GOLDENS.read_text()) if USAGE_GOLDENS.exists() else []
 
 
 def test_goldens_cover_every_argv_in_both_modes():
@@ -122,6 +141,16 @@ def test_help_goldens_cover_every_subcommand():
 
 @pytest.mark.parametrize("entry", HELP_ENTRIES, ids=lambda e: " ".join(e["argv"]))
 def test_help_matches_golden(entry):
+    assert invoke(entry["argv"]) == entry
+
+
+def test_usage_goldens_cover_every_usage_error():
+    assert [entry["argv"] for entry in USAGE_ENTRIES] == USAGE_ARGV
+
+
+@pytest.mark.parametrize("entry", USAGE_ENTRIES, ids=lambda e: " ".join(e["argv"]) or "(empty)")
+def test_usage_error_matches_golden(entry):
+    assert entry["rc"] == 2 and entry["stdout"] == ""
     assert invoke(entry["argv"]) == entry
 
 

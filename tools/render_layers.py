@@ -47,7 +47,7 @@ def run_quietly(argv) -> str:
 
 
 def row(argv, size_name: str, size: int, layers: dict) -> dict:
-    args = cli.build_parser().parse_args(argv)
+    args = cli.parse_args(argv)
     payload = getattr(cli, "cmd_" + args.command)(args)
     payload["schema_version"] = cli.SCHEMA_VERSION
     text = run_quietly(argv)

@@ -2,9 +2,11 @@
 
     PYTHONPATH=src python3 tools/snf_layers.py [--k 6 10 14 18 22 28]
 
-Inputs: one 80x80 matrix with entries uniform in [-20, 20]
-(random.Random(80)), and the paper-rule family grams of
-`milnor_lattice(milnor_family(k))`.  For each it prints one JSON line: the
+Inputs: the paper-rule family grams of `milnor_lattice(milnor_family(k))`,
+then one 80x80 matrix with entries uniform in [-20, 20] (random.Random(80)),
+whose line comes last because it takes longest: a reader that closes the
+pipe after the first of two or more family lines stops the tool before it
+builds the dense matrix.  For each it prints one JSON line: the
 shape, the rank, the bit length of the pivot minor D, the bit length of the
 modulus that `invariant_factors` ran its pass `_diagonal_gcds` with (0 when
 it skipped the pass), the best wall time of `invariant_factors` and of
@@ -81,6 +83,9 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--k", type=int, nargs="*", default=[6, 10, 14, 18, 22, 28])
     args = parser.parse_args(argv)
+    for k in args.k:
+        gram = brieskorn.milnor_lattice(brieskorn.milnor_family(k)).gram
+        print(json.dumps(row(f"family gram k={k}", gram)), flush=True)
     rng = random.Random(80)
     dense = snf.IntMatrix.from_rows(
         [[rng.randint(-20, 20) for _ in range(80)] for _ in range(80)]
@@ -91,9 +96,6 @@ def main(argv=None) -> None:
     U, _, V = snf.smith_normal_form(dense)
     line["transform_bits"] = max(abs(x).bit_length() for x in U.entries + V.entries)
     print(json.dumps(line), flush=True)
-    for k in args.k:
-        gram = brieskorn.milnor_lattice(brieskorn.milnor_family(k)).gram
-        print(json.dumps(row(f"family gram k={k}", gram)), flush=True)
 
 
 def exit_quietly_on_broken_pipe(main) -> None:
