@@ -136,14 +136,14 @@ class BrieskornPham:
         parameter is s - 1 as an exact rational.
         """
         ell, weights = self.weights_and_degree
-        s = Fraction(sum(weights), ell)
-        if s > 1:
+        total = sum(weights)
+        if total > ell:
             kind = CanonicalType.FANO
-        elif s == 1:
+        elif total == ell:
             kind = CanonicalType.CALABI_YAU
         else:
             kind = CanonicalType.GENERAL_TYPE
-        return kind, s - 1
+        return kind, Fraction(total - ell, ell)
 
     @property
     def in_sphere_link_family(self) -> bool:

@@ -1,36 +1,19 @@
 """Command-line front door.
 
 Each subcommand's `cmd_*` computes one payload and `run` alone prints it:
-with --json as canonical JSON (keys sorted, two-space indent, no floats,
-rationals as lowest-terms "p/q" strings, so re-serializing the parsed
-output reproduces the bytes), otherwise through the subcommand's `*_table`
-renderer, which reads only the payload and rebuilds the values it prints
-through `errors._trusted`, unchecked.  The --json output is byte-equal
-to `json.dumps(payload, sort_keys=True, indent=2)` (ASCII-escaped, no
-floats), with each `IntMatrix` in the payload written as the list of its
-rows: a matrix is a canonical value, and the lattice payload carries its
-gram as one.  One writer serves every sequence of exact ints, a matrix
-row or a list.  A matrix's entries are exact ints by construction, so its
-rows, slices of its entries, need no type check; a list is an int list
-only after its type check, so False, True, 0.0 and 2.0 never reach the
-writer.  It uses zero runs when more than half the items are 0, as in a
-family gram row: each run of zeros is one repeated "0," text, and only
-the nonzero items are converted.  Any other int sequence is written as
-one join of prebuilt decimal texts for the ints from -1024 to 1024, so an
-entry costs a lookup and no int-to-text conversion; one holding an int
-outside that range is converted item by item.  The argument parser is
-built once per process and holds only argument grammar: `run` looks up
-`cmd_<name>` and `<name>_table` in this module when each request arrives,
-with <name> the subcommand's name with "-" turned into "_", so every
-subcommand must keep that naming.  When argv[0] names a subcommand,
-`parse_args` hands the rest of argv straight to that subcommand's parser;
-the top-level parser answers only help, a missing or unknown subcommand
-and arguments left over, so every usage error reads as a full parse
-writes it.
+with --json through `canonical_json`, whose docstring states the writer's
+rules, and otherwise through the subcommand's `*_table` renderer, which
+reads only the payload and rebuilds the values it prints through
+`errors._trusted`, unchecked.  The argument parser is built once per
+process and holds only argument grammar: `run` looks up `cmd_<name>` and
+`<name>_table` in this module when each request arrives, with <name> the
+subcommand's name with "-" turned into "_", so every subcommand must keep
+that naming.  `parse_args` states how argv reaches the parsers.
 
 Exit status: 0 on success, 1 on domain errors, 2 on invalid arguments and
 usage errors; all but usage errors print one "error:" line on stderr.
-When the reader closes stdout early, `main` exits 1 with nothing on stderr.
+When the reader closes stdout early, `exit_after` exits 1 with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -88,7 +71,8 @@ _DECIMAL = {i: str(i) for i in range(-1024, 1025)}
 
 
 def canonical_json(payload: dict) -> str:
-    """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it.
+    """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it,
+    ASCII-escaped.
 
     Only dict with str keys, list, str, int, bool, None and `IntMatrix`
     are canonical; anything else, a float or a tuple among them, raises
@@ -560,8 +544,8 @@ def cmd_family_report(args) -> dict:
             f"range {args.start}..{args.end} leaves the family range 1..{bk.BP8_ORDER}"
         )
     rows = []
-    for k in range(args.start, args.end + 1):
-        bp = bk.milnor_family(k)
+    # The range is checked: its members are read from the family as built.
+    for k, bp in enumerate(bk._FAMILY[args.start - 1 : args.end], args.start):
         mu = bp.milnor_number
         mu_formula = 2 * (6 * k - 2)
         rows.append(
@@ -735,18 +719,25 @@ def run(argv) -> int:
     return 0
 
 
-def main() -> None:
+def exit_after(fn, *args) -> None:
+    """Exit with the status `fn(*args)` returns (None for 0), after
+    flushing stdout.  When the reader closes stdout early, exit 1 with
+    nothing on stderr: `main` and the timing tools in tools/ all exit here.
+    """
     try:
-        code = run(sys.argv[1:])
+        code = fn(*args)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout early; point it at devnull so that the
-        # flush at exit cannot raise again.
+        # Point stdout at devnull so that the flush at exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         code = 1
     sys.exit(code)
+
+
+def main() -> None:
+    exit_after(run, sys.argv[1:])
 
 
 if __name__ == "__main__":

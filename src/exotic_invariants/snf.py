@@ -221,6 +221,7 @@ def invariant_factors(M: IntMatrix) -> list:
     >>> invariant_factors(IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]))
     [2, 6, 12]
     """
+    _require(IntMatrix, "matrix", (M,))
     r, d, p = _bareiss(M)
     D = abs(d)
     factors = [1] * r
@@ -418,10 +419,10 @@ def _bareiss(M: IntMatrix):
     Scaling keeps zeros at zero, so the zero tests may read the stored
     entries.  A banded input of width w thus costs about n w^2
     big-integer updates, where rescaling every row below the pivot took
-    n^3.  Its check that M is an IntMatrix is the one that `rank`,
-    `determinant`, `invariant_factors` and the abelian cokernel and kernel make.
+    n^3.  M must be an IntMatrix: `rank`, `determinant` and
+    `invariant_factors`, through which the abelian cokernel and kernel
+    come, each check that once before they call it.
     """
-    _require(IntMatrix, "matrix", (M,))
     a = M.to_lists()
     level = [0] * M.rows
     pivots = [1]
@@ -463,6 +464,7 @@ def rank(M: IntMatrix) -> int:
     >>> rank(IntMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]]))
     2
     """
+    _require(IntMatrix, "matrix", (M,))
     return _bareiss(M)[0]
 
 
@@ -478,7 +480,8 @@ def determinant(M: IntMatrix) -> int:
     >>> determinant(IntMatrix.from_rows([[2, 0, 0, 1], [0, 3, 0, 0], [0, 0, 5, 0], [1, 0, 0, 2]]))
     45
     """
-    r, d, _ = _bareiss(M)
+    _require(IntMatrix, "matrix", (M,))
     if M.rows != M.cols:
         raise InvalidArgument("determinant needs a square matrix")
+    r, d, _ = _bareiss(M)
     return d if r == M.rows else 0

@@ -8,12 +8,14 @@ from exotic_invariants.abelian import (
     AbelianGroup,
     GradedGroups,
     cokernel_group,
+    divisibility_chain,
     kernel_group,
     kunneth,
     sphere_cohomology,
     tensor_and_tor,
 )
 from exotic_invariants.bundles import MilnorBundle
+from exotic_invariants.errors import InvalidArgument
 from exotic_invariants.hodge import hopf_manifold_cohomology
 from exotic_invariants.snf import IntMatrix
 from oracles import cofactor_determinant, kunneth_by_pairs
@@ -31,6 +33,13 @@ def graded_strategy():
     return st.dictionaries(st.integers(0, 4), groups_strategy(), max_size=3).map(
         GradedGroups
     )
+
+
+def test_divisibility_chain_refuses_an_order_below_two():
+    with pytest.raises(
+        InvalidArgument, match="^chain normalization expects integer orders >= 2$"
+    ):
+        divisibility_chain([6, 1])
 
 
 def test_normalization_crt():

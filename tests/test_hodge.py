@@ -44,6 +44,13 @@ def test_serre_duality_enforced_by_type():
         HodgeDiamond.from_entries({(0, 1): 2, (4, 3): 1})
 
 
+def test_a_serre_symmetric_grid_with_a_negative_entry_is_refused():
+    grid = [[0] * 5 for _ in range(5)]
+    grid[0][1] = grid[4][3] = -1
+    with pytest.raises(InvalidArgument, match="^Hodge numbers are nonnegative integers$"):
+        HodgeDiamond(grid)
+
+
 @pytest.mark.parametrize(
     "entries, index",
     [({(-1, -1): 1, (0, 0): 1}, "(-1,-1)"), ({(5, 0): 1}, "(5,0)")],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from exotic_invariants import snf
 from exotic_invariants.brieskorn import FAMILY_RANGE, milnor_family, milnor_lattice
+from exotic_invariants.errors import InvalidArgument
 from exotic_invariants.snf import (
     IntMatrix,
     _bareiss,
@@ -241,6 +242,14 @@ def test_determinant_zero_pivots(rows, det, rk):
     m = IntMatrix.from_rows(rows)
     assert determinant(m) == cofactor_determinant(m) == det
     assert rank(m) == rk
+
+
+def test_determinant_refuses_a_non_square_matrix_before_eliminating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(snf, "_bareiss", lambda M: calls.append(M))
+    with pytest.raises(InvalidArgument, match="^determinant needs a square matrix$"):
+        determinant(IntMatrix.zero(2, 3))
+    assert calls == []
 
 
 @given(matrices())

@@ -14,9 +14,10 @@ the layer that builds the payload's big value (`milnor_lattice` for a
 lattice, whose gram goes into the payload as the IntMatrix it is,
 `spectrum_json` for a spectrum), of `canonical_json` on the whole payload
 and of the whole `cli.run`, and the bytes `cli.run` writes.  Everything
-is measured in the one process that runs it; set PYTHONPATH to another
-checkout's src/ to time that one.  Like `cli.main`, it exits 1 with no
-traceback when its reader closes stdout early.
+is measured in the one process that runs it.  It exits through
+`cli.exit_after`, the route of `cli.main`: with 1 and nothing on stderr
+when its reader closes stdout early.  Set PYTHONPATH to another checkout's
+src/ that has `cli.exit_after` to time that one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import contextlib
 import io
 import json
 
-from snf_layers import best_seconds, exit_quietly_on_broken_pipe
+from snf_layers import best_seconds
 
 from exotic_invariants import brieskorn, cli
 
@@ -79,4 +80,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    exit_quietly_on_broken_pipe(main)
+    cli.exit_after(main)

@@ -13,21 +13,20 @@ it skipped the pass), the best wall time of `invariant_factors` and of
 `_bareiss` over REPEATS runs (unscaled seconds), and their ratio, all
 measured in the one process that runs it.  The dense line also gives the
 best wall time of `smith_normal_form` and the largest bit length of an
-entry of its transforms U and V.  Set PYTHONPATH to another checkout's src/
-to time that one.  Like `cli.main`, it exits 1 with no traceback when its
-reader closes stdout early.
+entry of its transforms U and V.  It exits through `cli.exit_after`, the
+route of `cli.main`: with 1 and nothing on stderr when its reader closes
+stdout early.  Set PYTHONPATH to another checkout's src/ that has
+`cli.exit_after` to time that one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
-import sys
 from time import perf_counter
 
-from exotic_invariants import brieskorn, snf
+from exotic_invariants import brieskorn, cli, snf
 
 REPEATS = 3
 
@@ -98,19 +97,5 @@ def main(argv=None) -> None:
     print(json.dumps(line), flush=True)
 
 
-def exit_quietly_on_broken_pipe(main) -> None:
-    """Run `main()`; if the reader closes stdout early, exit 1 with no
-    traceback, as `cli.main` does."""
-    try:
-        main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # Point stdout at devnull so that the flush at exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        sys.exit(1)
-
-
 if __name__ == "__main__":
-    exit_quietly_on_broken_pipe(main)
+    cli.exit_after(main)
