@@ -43,7 +43,13 @@ def divisibility_chain(orders) -> tuple:
     vals = _require(int, "orders", orders)
     if vals and min(vals) < 2:
         raise InvalidArgument("chain normalization expects integer orders >= 2")
-    return tuple(d for d in _gcd_lcm_exchange(list(vals)) if d >= 2)
+    return _chain(list(vals))
+
+
+def _chain(orders: list) -> tuple:
+    """`divisibility_chain` of orders, a list of ints >= 2 that the caller
+    has checked, or built from checked ones, and lets it reorder."""
+    return tuple(d for d in _gcd_lcm_exchange(orders) if d >= 2)
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class AbelianGroup:
         if free_rank < 0:
             raise InvalidArgument("free rank must be a nonnegative integer")
         finite = [abs(d) for d in orders if abs(d) > 1]
-        return _trusted(cls, free_rank + orders.count(0), divisibility_chain(finite))
+        return _trusted(cls, free_rank + orders.count(0), _chain(finite))
 
     @classmethod
     def free(cls, rank: int) -> "AbelianGroup":

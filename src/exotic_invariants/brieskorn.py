@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
 
-from .errors import InvalidArgument, OutOfFamily, _require, _trusted
+from .errors import InvalidArgument, OutOfFamily, _kept, _require, _trusted
 from .snf import IntMatrix
 
 
@@ -64,23 +64,6 @@ FAMILY_RANGE = range(1, BP8_ORDER + 1)
 # up to about 260 bytes per spectrum value (mu 34,560, all values
 # distinct), so a request at the limit stays near 1 GB.
 MAX_ENTRIES = 2**22
-
-
-class _kept:
-    """A property read once per instance: the first read stores the value
-    in the instance `__dict__`, where every later read finds it before this
-    descriptor.  It is `functools.cached_property` as Python 3.12 has it,
-    without the lock that 3.11's takes on each first read.
-    """
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -200,8 +183,11 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     a = 2, whose one index cannot step.  Each index walks the steps
     that stay inside the index box, a mixed-radix stride giving the
     column offset of each, and every entry is set with its mirror; the
-    diagonal is 2 and all other entries are 0.  Refuses, with
-    InvalidArgument, a lattice of more than MAX_ENTRIES gram entries.
+    diagonal is 2 and all other entries are 0.  The columns of each row's
+    nonzero entries are recorded as they are placed, and the gram is
+    built holding them as its `row_support`, so that no reader scans its
+    mu^2 entries for them.  Refuses, with InvalidArgument, a lattice of
+    more than MAX_ENTRIES gram entries.
 
     >>> milnor_lattice(BrieskornPham.of(3, 2)).gram.to_lists()
     [[2, -2], [-2, 2]]
@@ -212,31 +198,44 @@ def milnor_lattice(bp: BrieskornPham) -> MilnorLattice:
     n = len(exps)
     index_set = tuple(product(*(range(1, a) for a in exps)))
     size = len(index_set)
-    strides = [1] * n
-    for m in range(n - 2, -1, -1):
-        strides[m] = strides[m + 1] * (exps[m + 1] - 1)
     # A factor with a = 2 has the one index 1 and never steps, so step
-    # vectors e are bit masks over the t factors with a > 2 (2^t <= mu), bit
-    # j set when e steps in factor steppers[j]; index i + e lies offset[e]
-    # places after i in lexicographic order.
-    steppers = [m for m in range(n) if exps[m] > 2]
-    t = len(steppers)
-    value = [(-1) ** e.bit_count() * 2 ** (n - e.bit_count()) for e in range(1 << t)]
-    offset = [0] * (1 << t)
-    for e in range(1, 1 << t):
-        j = e.bit_length() - 1
-        offset[e] = offset[e ^ (1 << j)] + strides[steppers[j]]
+    # vectors e are bit masks over the factors with a > 2, the lowest bit
+    # for the last of them.  free_bits[m] holds, for each index of factor
+    # m, the bit of m when that index can step and 0 when it cannot, so a
+    # row's mask of free steps is the sum over its factors.  steps[f]
+    # lists (offset, pairing) for every nonzero sub-mask e of f: index
+    # i + e lies offset places after i in lexicographic order.  Each
+    # stride is more than the sum of the strides of the stepping factors
+    # after it, so offsets increase with e, and each list is in order.
+    free_bits = []
+    steps = [()]
+    stride = 1
+    for a in reversed(exps):
+        if a > 2:
+            free_bits.append((len(steps),) * (a - 2) + (0,))
+            alone = ((stride, -(2 ** (n - 1))),)
+            steps += [sub + alone + tuple([(o + stride, -v // 2) for o, v in sub]) for sub in steps]
+            stride *= a - 1
+        else:
+            free_bits.append((0,))
+    free_bits.reverse()
     flat = [0] * (size * size)
     flat[:: size + 1] = [2] * size
-    for r, idx in enumerate(index_set):
-        # The steps that stay in the box are the nonzero sub-masks of `free`.
-        free = sum(1 << j for j, m in enumerate(steppers) if idx[m] < exps[m] - 1)
-        e = free
-        while e:
-            s = r + offset[e]
-            flat[r * size + s] = flat[s * size + r] = value[e]
-            e = (e - 1) & free
-    return _trusted(MilnorLattice, index_set, _trusted(IntMatrix, size, size, tuple(flat)))
+    # Row r's support: the columns before r arrive from earlier rows, in
+    # row order, then r itself, then the steps of r in increasing order.
+    support = [[] for _ in range(size)]
+    for r, free in enumerate(map(sum, product(*free_bits))):
+        row = support[r]
+        row.append(r)
+        base = r * size
+        for o, v in steps[free]:
+            s = r + o
+            flat[base + s] = flat[s * size + r] = v
+            row.append(s)
+            support[s].append(r)
+    gram = _trusted(IntMatrix, size, size, tuple(flat))
+    IntMatrix.row_support.store(gram, tuple(map(tuple, support)))
+    return _trusted(MilnorLattice, index_set, gram)
 
 
 def spectrum(bp: BrieskornPham):

@@ -23,7 +23,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -65,7 +65,7 @@ def fluxed_json(fb: FluxedBundle) -> dict:
     return {"bundle": bundle_json(fb.bundle), "flux": fb.flux}
 
 
-# Decimal text of each int from -1024 to 1024, built once for `_emit`; the
+# Decimal text of each int from -1024 to 1024, built once for `_decimals`; the
 # entries of the family grams all fall inside.
 _DECIMAL = {i: str(i) for i in range(-1024, 1025)}
 
@@ -78,12 +78,15 @@ def canonical_json(payload: dict) -> str:
     are canonical; anything else, a float or a tuple among them, raises
     TypeError.  An IntMatrix is written as `to_lists()` would be, the list
     of its rows, each row read from its entries with no type check: they
-    are exact ints by construction.  A list is a list of exact ints only
-    after its type check: one holding False, True, 0.0 or 2.0 is not, and
-    is written item by item.  A row or int list more than half of whose
-    items are 0 is written by zero runs, converting only its nonzero
-    items; any other is written from the decimal table when every item is
-    in it, and item by item otherwise.
+    are exact ints by construction.  A row more than half of whose entries
+    are 0 is written by zero runs from the matrix's `row_support`, which
+    a family gram holds from its construction, converting only its nonzero
+    entries.  A list is a list of exact ints only after its type check:
+    one holding False, True, 0.0 or 2.0 is not, and is written item by
+    item.  Any other row, and a list of exact ints, is written from the
+    decimal table when every item is in it, and item by item otherwise.  A
+    list of strings is written by one join when none of them needs an
+    escape.
 
     >>> from exotic_invariants.snf import IntMatrix
     >>> print(canonical_json({"gram": IntMatrix.from_rows([[2, 0], [0, 2]])}))
@@ -157,11 +160,18 @@ def _emit(value, newline: str, parts: list) -> None:
         if kinds == {int}:
             # Exact ints only: False, True, 0.0 and 2.0 compare and hash
             # equal to 0, 1, 0 and 2, so the type check must come before
-            # the count of zeros and the table lookup.
+            # the table lookup.
             _emit_ints(value, newline, parts)
         elif kinds == {str}:
-            items = map(encode_basestring_ascii, value)
-            parts += ("[", inner, ("," + inner).join(items), newline, "]")
+            # Escaping is per character and never shortens one, so the
+            # items escape to themselves when their concatenation gains
+            # only its two quotes; then one join writes them all.
+            joined = "".join(value)
+            if len(encode_basestring_ascii(joined)) == len(joined) + 2:
+                quoted = '"' + ('",' + inner + '"').join(value) + '"'
+            else:
+                quoted = ("," + inner).join(map(encode_basestring_ascii, value))
+            parts += ("[", inner, quoted, newline, "]")
         else:
             separator = "[" + inner
             for item in value:
@@ -183,18 +193,37 @@ def _emit(value, newline: str, parts: list) -> None:
             separator = "," + inner
         parts += (newline, "}")
     elif kind is IntMatrix:
-        # Its entries are exact ints by construction: each row is a slice
-        # of them, written with no type check.
+        # Its entries are exact ints by construction, so no row is type
+        # checked.  A row more than half of whose entries are 0 is written
+        # from its support: each run of zeros is one repeated text, and only
+        # the nonzero entries are converted.
         if not value.rows:
             parts.append("[]")
             return
         inner = newline + "  "
+        item = inner + "  "
+        separator = "," + item
+        zero = "0" + separator
         entries, cols = value.entries, value.cols
-        separator = "[" + inner
-        for i in range(value.rows):
-            parts.append(separator)
-            _emit_ints(entries[i * cols : i * cols + cols], inner, parts)
-            separator = "," + inner
+        row_start = "[" + inner
+        base = 0
+        for columns in value.row_support:
+            parts.append(row_start)
+            if 2 * len(columns) < cols:
+                parts += ("[", item)
+                start = 0
+                for j in columns:
+                    parts += (zero * (j - start), str(entries[base + j]), separator)
+                    start = j + 1
+                if start < cols:
+                    parts += (zero * (cols - start - 1), "0")
+                else:
+                    parts.pop()  # the separator after the last entry
+                parts += (inner, "]")
+            else:
+                _emit_ints(entries[base : base + cols], inner, parts)
+            row_start = "," + inner
+            base += cols
         parts += (newline, "]")
     else:
         raise TypeError(f"{kind.__name__} is not canonical JSON")
@@ -207,28 +236,18 @@ def _emit_ints(items, newline: str, parts: list) -> None:
         parts.append("[]")
         return
     inner = newline + "  "
-    separator = "," + inner
-    parts += ("[", inner)
-    if 2 * items.count(0) > len(items):
-        # Mostly zeros: each run of them is one repeated text, and only the
-        # nonzero items are converted.
-        zero = "0" + separator
-        start = 0
-        for i in compress(range(len(items)), items):
-            parts += (zero * (i - start), str(items[i]), separator)
-            start = i + 1
-        if start < len(items):
-            parts += (zero * (len(items) - start - 1), "0")
-        else:
-            parts.pop()  # the separator after the last item
-    else:
-        try:
-            parts.append(separator.join(map(_DECIMAL.__getitem__, items)))
-        except KeyError:
-            # An int outside the table.  Not the repr of items: a
-            # one-item tuple's repr ends in a comma.
-            parts.append(separator.join(map(str, items)))
-    parts += (newline, "]")
+    parts += ("[", inner, ("," + inner).join(_decimals(items)), newline, "]")
+
+
+def _decimals(items) -> list:
+    """The decimal text of each of items, exact ints: from the table when
+    every item is in it, and through `str` otherwise."""
+    try:
+        return list(map(_DECIMAL.__getitem__, items))
+    except KeyError:
+        # An int outside the table.  Not the repr of items: a one-item
+        # tuple's repr ends in a comma.
+        return list(map(str, items))
 
 
 def _group(g: dict) -> AbelianGroup:
@@ -363,19 +382,26 @@ def brieskorn_table(p: dict) -> str:
 def cmd_lattice(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
     lat = bk.milnor_lattice(bp)
+    rank, n = lat.rank, len(bp.exponents)
+    index_set = _trusted(IntMatrix, rank, n, tuple(chain.from_iterable(lat.index_set)))
+    # Every index is at least 1, so every column of a row is in its support.
+    IntMatrix.row_support.store(index_set, (tuple(range(n)),) * rank)
     return {
         "exponents": list(bp.exponents),
-        "rank": lat.rank,
-        "index_set": [list(t) for t in lat.index_set],
+        "rank": rank,
+        "index_set": index_set,
         "gram": lat.gram,
     }
 
 
 def lattice_table(p: dict) -> str:
     bp = _trusted(bk.BrieskornPham, tuple(p["exponents"]))
+    gram = p["gram"]
+    # Each entry right-justified to width 3, as f"{x:3d}" writes it.
+    cells = list(map(str.rjust, _decimals(gram.entries), repeat(3)))
+    cols = gram.cols
     lines = [f"milnor lattice of {bp}: rank {p['rank']}"]
-    for row in p["gram"].to_lists():
-        lines.append("  " + " ".join(f"{x:3d}" for x in row))
+    lines += ["  " + " ".join(cells[i : i + cols]) for i in range(0, len(cells), cols)]
     return "\n".join(lines)
 
 

@@ -14,7 +14,9 @@ stores what was checked, and a collection argument is read only there.
 Every library value has one construction rule.  Its public constructor
 checks what a caller passes; a value the library builds from inputs it
 has checked already goes through `_trusted`, the one bypass, and is not
-checked again.
+checked again.  Data derived from a value and read more than once is a
+`_kept` property of it: computed on first read, or stored by the builder
+that already has it.
 """
 
 
@@ -59,6 +61,30 @@ def _trusted(cls, *values):
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, values))
     return obj
+
+
+class _kept:
+    """A property read once per instance: the first read stores the value
+    in the instance `__dict__`, where every later read finds it before this
+    descriptor.  It is `functools.cached_property` as Python 3.12 has it,
+    without the lock that 3.11's takes on each first read.  A frozen
+    dataclass may hold one: the value is not a field, so it changes no
+    equality or hash.
+    """
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+    def store(self, obj, value) -> None:
+        """Keep value as this property of obj, as its first read would:
+        for a builder that knows the value already."""
+        obj.__dict__[self.name] = value
 
 
 class InvalidArgument(ValueError):

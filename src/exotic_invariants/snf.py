@@ -35,11 +35,11 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from math import gcd
 from operator import mul
 
-from .errors import InvalidArgument, _require, _trusted
+from .errors import InvalidArgument, _kept, _require, _trusted
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,9 @@ class IntMatrix:
     gram of `brieskorn.milnor_lattice`) are made through `errors._trusted`
     without the entry check: those entries are exact ints by construction,
     and checking them again took about half the time of a large family
-    lattice.
+    lattice.  `row_support`, the nonzero columns of each row, is read once
+    per matrix: the gram of `milnor_lattice` is built holding it, and any
+    other matrix scans its entries on the first read.
 
     >>> IntMatrix.from_rows([[True, 0], [0, 1]]).entries
     (1, 0, 0, 1)
@@ -130,6 +132,19 @@ class IntMatrix:
             for col in columns
         )
         return _trusted(IntMatrix, self.rows, c, flat)
+
+    @_kept
+    def row_support(self) -> tuple:
+        """For each row, the tuple of the columns that hold its nonzero
+        entries, in increasing order: scanned on the first read, unless
+        the builder stored it.
+
+        >>> IntMatrix.from_rows([[2, 0, -1], [0, 0, 0]]).row_support
+        ((0, 2), ())
+        """
+        e, c = self.entries, self.cols
+        columns = range(c)
+        return tuple(tuple(compress(columns, e[i * c : i * c + c])) for i in range(self.rows))
 
     def diagonal(self) -> list:
         return list(self.entries[:: self.cols + 1][: min(self.rows, self.cols)])

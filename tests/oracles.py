@@ -9,7 +9,9 @@ standard diamond of S^7 x S^1, which enumerate_admissible_diamonds(UNIT)
 must return; kunneth_by_pairs is the product formula one pair of degrees
 at a time, a second route to kunneth.  cli_run_oracle is `cli.run` with
 every argv parsed by the top-level parser, the route `cli.parse_args`
-takes only for help, errors and leftover arguments.
+takes only for help, errors and leftover arguments.  row_support_scan
+reads a matrix's support off its rows as lists, the reference for the
+support `IntMatrix.row_support` scans or `milnor_lattice` stores.
 """
 
 import json
@@ -253,6 +255,12 @@ def canonical_json_oracle(payload):
     """The standard library's rendering of canonical CLI JSON: sorted keys,
     two-space indent, ASCII escapes.  Reference for cli.canonical_json."""
     return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def row_support_scan(m):
+    """For each row of the IntMatrix m, the tuple of the columns whose
+    entries are nonzero, read from `to_lists`."""
+    return tuple(tuple(j for j, x in enumerate(row) if x != 0) for row in m.to_lists())
 
 
 def cli_run_oracle(argv):

@@ -76,15 +76,16 @@ def checks(monkeypatch):
 
 
 def test_a_kunneth_request_checks_its_inputs_once(checks, capsys):
-    # 15 checks: the two integers, the circle's dimension, the two graded
-    # groups, and two for the normalization of each of the six output
+    # 9 checks: the two integers, the circle's dimension, the two graded
+    # groups, and one for the normalization of each of the six output
     # degrees.  Re-checking what the library built (at `GradedGroups`, and
     # the table's rebuilt groups) made 35; checking the bundle as it went
-    # from `MilnorBundle` to its cohomology, and its degree-4 group, 19.
+    # from `MilnorBundle` to its cohomology, and its degree-4 group, 19;
+    # checking each degree's orders again in `divisibility_chain`, 15.
     for form in ([], ["--json"]):
         checks.clear()
         assert cli.run(["kunneth", "--m", "1", "--k", "3", *form]) == 0
-        assert 0 < len(checks) <= 15
+        assert 0 < len(checks) <= 9
     assert "H*(M(1,2) x S^1):" in capsys.readouterr().out
 
 
@@ -97,12 +98,13 @@ def test_a_kunneth_request_checks_its_inputs_once(checks, capsys):
 # and the link family, built through the public constructor on each call,
 # made 4, 5, 4, 56, 8 and 5 for the milnor, milnor-torsion, brieskorn,
 # family-report, fano and isotropy rows.  The report, reading each member
-# through `milnor_family` after its range check, made 28.
+# through `milnor_family` after its range check, made 28.  `from_orders`,
+# checking its orders again in `divisibility_chain`, made tdual 8.
 @pytest.mark.parametrize("form", [[], ["--json"]], ids=["table", "json"])
 @pytest.mark.parametrize(
     "argv, bound",
     [
-        (["tdual", "--m", "3", "--k", "1", "--flux", "5"], 8),
+        (["tdual", "--m", "3", "--k", "1", "--flux", "5"], 7),
         (["milnor", "2", "-1"], 2),
         (["milnor", "3", "4"], 1),
         (["brieskorn", "5", "3", "2", "2", "2", "--spectrum"], 2),

@@ -27,6 +27,7 @@ from oracles import (
     hom_dims_product,
     milnor_number_and_basis,
     paper_rule_gram,
+    row_support_scan,
     sphere_link_family_shape,
 )
 
@@ -108,6 +109,14 @@ def test_family_lattice_matches_pairwise_oracle():
             assert gram == paper_rule_gram(exps), exps
     exps = milnor_family(28).exponents
     assert milnor_lattice(BrieskornPham(exps)).gram.to_lists() == paper_rule_gram(exps)
+
+
+def test_a_lattice_gram_holds_its_support_when_built():
+    # milnor_lattice records the support while it places the entries, so
+    # writing a family gram never scans its entries for it.
+    for exps in [(3,), (2, 2), (3, 3), (5, 3, 2, 2, 2), (2, 2, 2, 3, 167)]:
+        gram = milnor_lattice(BrieskornPham(exps)).gram
+        assert vars(gram)["row_support"] == row_support_scan(gram), exps
 
 
 def test_lattice_index_set_lex_sorted():

@@ -5,18 +5,23 @@ import os
 import shlex
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exotic_invariants import brieskorn as bk
 from exotic_invariants import cli
 from exotic_invariants.cli import canonical_json, rational_str, run
 from exotic_invariants.snf import IntMatrix
-from oracles import canonical_json_oracle, cli_run_oracle, fraction_sum_spectrum
+from oracles import (
+    canonical_json_oracle,
+    cli_run_oracle,
+    fraction_sum_spectrum,
+    row_support_scan,
+)
 from test_cli_goldens import SUBCOMMANDS, invoke
 
 COMMANDS = [
@@ -269,6 +274,15 @@ JSON_VALUES = st.recursive(
 @example({"gram": IntMatrix.from_rows([[True, 0, 0, 0]]).to_lists()}).via(
     "IntMatrix stores a bool entry as the int 0 or 1, so its rows hold 1, not True"
 )
+@example({"spectrum": ["-1/2", "1/3", "1/3", "7/6"], "one": ["0/1"], "blank": ["", "x", ""]}).via(
+    "strings that need no escape, written by one join"
+)
+@example({"quote": ['a"b', "c"], "control": ["line\nbreak", "tab\tstop"], "back": ["\\", "x"]}).via(
+    "strings with an escaped character, written item by item"
+)
+@example({"accent": ["caf\u00e9", "plain"], "astral": ["\U0001d11e"], "mixed": ["1/2", "\u2028"]}).via(
+    "non-ASCII strings, written item by item"
+)
 def test_canonical_json_matches_json_dumps(payload):
     assert canonical_json(payload) == canonical_json_oracle(payload)
 
@@ -339,6 +353,39 @@ def test_large_payloads_match_json_dumps(capsys, argv):
     code, out = run_json(capsys, argv)
     assert code == 0
     assert out == canonical_json_oracle(json.loads(out)) + "\n"
+
+
+# Exponent vectors of 1 to 5 factors with a gram of at most 200^2 entries:
+# any, family members with their factors in a drawn order, and vectors
+# with many 2s, which stretch the rows' zero runs.
+LATTICE_EXPONENTS = st.one_of(
+    st.lists(st.integers(2, 7), min_size=1, max_size=5),
+    st.integers(1, 8).flatmap(lambda k: st.permutations(bk.milnor_family(k).exponents)),
+    st.lists(st.sampled_from([2, 2, 2, 3, 4]), min_size=1, max_size=5),
+).filter(lambda exps: prod(a - 1 for a in exps) <= 200)
+
+
+@given(LATTICE_EXPONENTS)
+@settings(max_examples=60)
+@example([5, 3, 2, 2, 2])
+@example([2, 2, 3, 2, 11])
+@example([2] * 11 + [3]).via("entries of 2^11, outside the decimal table, among zero runs")
+def test_a_lattice_gram_is_written_from_its_stored_support(exps):
+    gram = bk.milnor_lattice(bk.BrieskornPham(exps)).gram
+    assert vars(gram)["row_support"] == row_support_scan(gram)
+    text = canonical_json({"gram": gram})
+    assert text == canonical_json_oracle({"gram": gram.to_lists()})
+
+
+@pytest.mark.parametrize(
+    "exps", [(3, 3), (5, 4, 3), (2, 2, 3, 2, 11), (2,) * 11 + (3,), (2,) * 12], ids=str
+)
+def test_lattice_table_rows_are_width_three_columns(exps):
+    lat = bk.milnor_lattice(bk.BrieskornPham(exps))
+    payload = {"exponents": list(exps), "rank": lat.rank, "gram": lat.gram}
+    header, *rows = cli.lattice_table(payload).split("\n")
+    assert header.endswith(f": rank {lat.rank}")
+    assert rows == ["  " + " ".join(f"{x:3d}" for x in row) for row in lat.gram.to_lists()]
 
 
 def test_oversized_requests_exit_two(capsys, monkeypatch):

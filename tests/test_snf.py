@@ -20,7 +20,7 @@ from exotic_invariants.snf import (
     rank,
     smith_normal_form,
 )
-from oracles import cofactor_determinant, rational_rank
+from oracles import cofactor_determinant, rational_rank, row_support_scan
 
 
 def matrices(max_dim=6, bound=20):
@@ -488,6 +488,39 @@ def test_transpose_and_matmul_shapes():
     assert IntMatrix.zero(0, 3).to_lists() == []
     with pytest.raises(ValueError):
         m @ m
+
+
+@given(st.one_of(matrices(), shaped_matrices(), sparse_matrices()))
+@settings(max_examples=60)
+@example(IntMatrix.from_rows([[0, 0, 0], [0, 4, 0], [0, 0, 0]]))
+@example(IntMatrix.from_rows([[7]]))
+@example(IntMatrix.from_rows([[0]]))
+def test_row_support_matches_a_scan_for_every_constructor(m):
+    """Every constructor's matrix, read for the first time, has the support
+    of its rows as lists, all-zero rows and empty shapes included; the
+    read keeps it and changes no equality or hash."""
+    rows = m.to_lists()
+    u, d, v = smith_normal_form(m)
+    built = [
+        m,
+        IntMatrix.from_rows(rows),
+        IntMatrix(m.rows, m.cols, m.entries),
+        IntMatrix.identity(m.rows),
+        IntMatrix.zero(m.rows, m.cols),
+        IntMatrix.from_diagonal(m.diagonal()),
+        m.transpose(),
+        m @ m.transpose(),
+        m.transpose() @ m,
+        u,
+        d,
+        v,
+    ]
+    for x in built:
+        fresh = IntMatrix(x.rows, x.cols, x.entries)
+        assert "row_support" not in vars(x)
+        assert x.row_support == row_support_scan(x)
+        assert vars(x)["row_support"] is x.row_support
+        assert x == fresh and hash(x) == hash(fresh)
 
 
 def test_entry_validation():

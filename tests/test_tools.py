@@ -35,9 +35,13 @@ def test_render_layers_prints_one_line_per_input(tools, capsys):
     lattices, spectra = lines[:2], lines[2:]
     for lattice in lattices:
         assert list(lattice) == [
-            "input", "rank", "milnor_lattice_s", "canonical_json_s", "run_s", "bytes",
+            "input", "rank", "nonzeros", "milnor_lattice_s", "canonical_json_s", "run_s", "bytes",
         ]
         assert lattice["rank"] == 20
+        # The 20 diagonal entries, and each step with its mirror: 3 steps
+        # from (i, 1) and 1 from (i, 2) for i < 10 in the factors 11 and
+        # 3, and 1 from (10, 1).
+        assert lattice["nonzeros"] == 20 + 2 * (9 * 3 + 9 + 1)
     assert lattices[0]["bytes"] == lattices[1]["bytes"]
     for line in spectra:
         assert list(line) == ["input", "mu", "spectrum_json_s", "canonical_json_s", "run_s", "bytes"]

@@ -9,7 +9,9 @@ followed by the same lattice in ascending factor order, `lattice 2 2 2 3
 and the two largest spectra of the `lattice-render` workload's size,
 `spectrum 11 11 11 8 --json` (mu 7000) and `brieskorn 11 9 7 4 6
 --spectrum --json` (mu 7200).  For each it prints one JSON line: the rank
-or mu, the best wall time (unscaled seconds, `snf_layers.best_seconds`) of
+and the gram's nonzero entries of a lattice (counted from its entries,
+so that an older checkout is counted alike) or the mu of a spectrum, the
+best wall time (unscaled seconds, `snf_layers.best_seconds`) of
 the layer that builds the payload's big value (`milnor_lattice` for a
 lattice, whose gram goes into the payload as the IntMatrix it is,
 `spectrum_json` for a spectrum), of `canonical_json` on the whole payload
@@ -47,7 +49,7 @@ def run_quietly(argv) -> str:
     return out.getvalue()
 
 
-def row(argv, size_name: str, size: int, layers: dict) -> dict:
+def row(argv, sizes: dict, layers: dict) -> dict:
     args = cli.parse_args(argv)
     payload = getattr(cli, "cmd_" + args.command)(args)
     payload["schema_version"] = cli.SCHEMA_VERSION
@@ -55,7 +57,7 @@ def row(argv, size_name: str, size: int, layers: dict) -> dict:
     assert text == cli.canonical_json(payload) + "\n"
     names = [*layers, "canonical_json", "run"]
     fns = [*layers.values(), lambda: cli.canonical_json(payload), lambda: run_quietly(argv)]
-    line = {"input": " ".join(argv), size_name: size}
+    line = {"input": " ".join(argv), **sizes}
     for name, seconds in zip(names, best_seconds(fns)):
         line[name + "_s"] = round(seconds, 5)
     line["bytes"] = len(text.encode())
@@ -71,12 +73,14 @@ def main(argv=None) -> None:
         for bp in map(brieskorn.BrieskornPham, (exponents, sorted(exponents))):
             layers = {"milnor_lattice": lambda: brieskorn.milnor_lattice(bp)}
             argv = ["lattice", *map(str, bp.exponents), "--json"]
-            print(json.dumps(row(argv, "rank", bp.milnor_number, layers)), flush=True)
+            gram = brieskorn.milnor_lattice(bp).gram
+            sizes = {"rank": gram.rows, "nonzeros": sum(map(bool, gram.entries))}
+            print(json.dumps(row(argv, sizes, layers)), flush=True)
     for command, exponents, flags in SPECTRA:
         bp = brieskorn.BrieskornPham.of(*exponents)
         argv = [command, *map(str, exponents), *flags, "--json"]
         layers = {"spectrum_json": lambda: cli.spectrum_json(bp)}
-        print(json.dumps(row(argv, "mu", bp.milnor_number, layers)), flush=True)
+        print(json.dumps(row(argv, {"mu": bp.milnor_number}, layers)), flush=True)
 
 
 if __name__ == "__main__":
