@@ -3,9 +3,11 @@
 Each subcommand's `cmd_*` computes one payload and `run` alone prints it:
 with --json through `canonical_json`, whose docstring states the writer's
 rules, and otherwise through the subcommand's `*_table` renderer, which
-reads only the payload and rebuilds the values it prints through
-`errors._trusted`, unchecked.  The argument parser is built once per
-process and holds only argument grammar: `run` looks up `cmd_<name>` and
+reads only the payload.  A payload holds what was computed, the library
+values themselves; one map, `_FORMS`, gives each library type's JSON form,
+and the tables print values through their own `__str__` or `triangle()`.
+The argument parser is built once per process and holds only argument
+grammar: `run` looks up `cmd_<name>` and
 `<name>_table` in this module when each request arrives, with <name> the
 subcommand's name with "-" turned into "_", so every subcommand must keep
 that naming.  `parse_args` states how argv reaches the parsers.
@@ -49,45 +51,45 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def group_json(g: AbelianGroup) -> dict:
-    return {"free_rank": g.free_rank, "torsion": list(g.torsion)}
-
-
-def graded_json(gg: GradedGroups) -> list:
-    return [[degree, group_json(group)] for degree, group in gg.items()]
-
-
-def bundle_json(b: MilnorBundle) -> dict:
-    return {"m": b.m, "n": b.n}
-
-
-def fluxed_json(fb: FluxedBundle) -> dict:
-    return {"bundle": bundle_json(fb.bundle), "flux": fb.flux}
-
-
 # Decimal text of each int from -1024 to 1024, built once for `_decimals`; the
 # entries of the family grams all fall inside.
 _DECIMAL = {i: str(i) for i in range(-1024, 1025)}
+
+# The one JSON form of each library type a payload may hold: canonical data,
+# which may hold further library values.  Lambdas in a private map, which no
+# tracer wraps: a span per value would cost more than the work.
+_FORMS = {
+    AbelianGroup: lambda g: {"free_rank": g.free_rank, "torsion": list(g.torsion)},
+    GradedGroups: lambda gg: [[degree, group] for degree, group in gg.items()],
+    MilnorBundle: lambda b: {"m": b.m, "n": b.n},
+    FluxedBundle: lambda fb: {"bundle": fb.bundle, "flux": fb.flux},
+    bk.BrieskornPham: lambda bp: list(bp.exponents),
+    hg.HodgeDiamond: lambda d: list(map(list, d.h)),
+    gr.LinkIsotropy: lambda i: {"support": list(i.support), "b": i.b, "isotropy": list(i.isotropy)},
+}
 
 
 def canonical_json(payload: dict) -> str:
     """Payload as `json.dumps(payload, sort_keys=True, indent=2)` writes it,
     ASCII-escaped.
 
-    Only dict with str keys, list, str, int, bool, None and `IntMatrix`
-    are canonical; anything else, a float or a tuple among them, raises
-    TypeError.  An IntMatrix is written as `to_lists()` would be, the list
-    of its rows, each row read from its entries with no type check: they
-    are exact ints by construction.  A row more than half of whose entries
-    are 0 is written by zero runs from the matrix's `row_support`, which
-    a family gram holds from its construction, converting only its nonzero
-    entries.  A list is a list of exact ints only after its type check:
+    Only dict with str keys, list, str, int, bool, None, `IntMatrix` and
+    the library types in `_FORMS` are canonical; anything else, a float, a
+    tuple or another library value among them, raises TypeError.  A
+    payload holds what was computed, and each library value in it is
+    written as its one JSON form in `_FORMS`.  An IntMatrix is written as
+    `to_lists()` would be, the list of its rows, each row read from its
+    entries with no type check: they are exact ints by construction.  A
+    row more than half of whose entries are 0 is written by zero runs from
+    the matrix's `row_support`, which a family gram holds from its
+    construction, converting only its nonzero entries.  A list is a list of exact ints only after its type check:
     one holding False, True, 0.0 or 2.0 is not, and is written item by
     item.  Any other row, and a list of exact ints, is written from the
     decimal table when every item is in it, and item by item otherwise.  A
     list of strings is written by one join when none of them needs an
     escape.
 
+    >>> from exotic_invariants.bundles import MilnorBundle
     >>> from exotic_invariants.snf import IntMatrix
     >>> print(canonical_json({"gram": IntMatrix.from_rows([[2, 0], [0, 2]])}))
     {
@@ -101,6 +103,14 @@ def canonical_json(payload: dict) -> str:
           2
         ]
       ]
+    }
+
+    >>> print(canonical_json({"bundle": MilnorBundle(2, -1)}))
+    {
+      "bundle": {
+        "m": 2,
+        "n": -1
+      }
     }
 
     >>> print(canonical_json({"gram": [[2, -1], [-1, 2]], "rank": 2}))
@@ -226,7 +236,10 @@ def _emit(value, newline: str, parts: list) -> None:
             base += cols
         parts += (newline, "]")
     else:
-        raise TypeError(f"{kind.__name__} is not canonical JSON")
+        form = _FORMS.get(kind)
+        if form is None:
+            raise TypeError(f"{kind.__name__} is not canonical JSON")
+        _emit(form(value), newline, parts)
 
 
 def _emit_ints(items, newline: str, parts: list) -> None:
@@ -250,20 +263,8 @@ def _decimals(items) -> list:
         return list(map(str, items))
 
 
-def _group(g: dict) -> AbelianGroup:
-    return _trusted(AbelianGroup, g["free_rank"], tuple(g["torsion"]))
-
-
-def _bundle(b: dict) -> MilnorBundle:
-    return _trusted(MilnorBundle, b["m"], b["n"])
-
-
-def _fluxed(fb: dict) -> FluxedBundle:
-    return _trusted(FluxedBundle, _bundle(fb["bundle"]), fb["flux"])
-
-
-def graded_table(cohomology: list) -> str:
-    return "\n".join(f"  H^{d} = {_group(g)}" for d, g in cohomology)
+def graded_table(cohomology: GradedGroups) -> str:
+    return "\n".join(f"  H^{d} = {g}" for d, g in cohomology.items())
 
 
 def weighted_type_json(bp: bk.BrieskornPham) -> dict:
@@ -300,22 +301,22 @@ def cmd_milnor(args) -> dict:
     if args.require_lambda or b.is_homotopy_sphere:
         lam = lambda_invariant(b)  # raises NotHomotopySphere when forced
     return {
-        "bundle": bundle_json(b),
-        "canonical": bundle_json(b.canonical_form),
+        "bundle": b,
+        "canonical": b.canonical_form,
         "euler": b.euler,
         "pontryagin": b.pontryagin,
         "principal": b.is_principal,
         "homotopy_sphere": b.is_homotopy_sphere,
         "lambda": lam,
-        "cohomology": graded_json(b.cohomology),
+        "cohomology": b.cohomology,
     }
 
 
 def milnor_table(p: dict) -> str:
     lines = [
-        f"{_bundle(p['bundle'])}: euler {p['euler']}, p1 {p['pontryagin']}, "
+        f"{p['bundle']}: euler {p['euler']}, p1 {p['pontryagin']}, "
         f"{'principal' if p['principal'] else 'non-principal'}",
-        f"  canonical representative {_bundle(p['canonical'])}",
+        f"  canonical representative {p['canonical']}",
     ]
     if p["homotopy_sphere"]:
         verdict = "standard" if p["lambda"] == 0 else "exotic"
@@ -331,20 +332,20 @@ def cmd_tdual(args) -> dict:
     else:
         dual = euler_preserving_dual(fb)
     payload = {
-        "input": fluxed_json(fb),
+        "input": fb,
         "rule": "principal" if args.principal else "euler_preserving",
-        "dual": fluxed_json(dual),
+        "dual": dual,
     }
     if args.m != 0 or args.flux != 0:
-        payload["correspondence_h7"] = group_json(correspondence_h7(args.m, args.flux))
+        payload["correspondence_h7"] = correspondence_h7(args.m, args.flux)
         payload["lifted_flux"] = lifted_flux(args.m, args.flux)
     return payload
 
 
 def tdual_table(p: dict) -> str:
-    lines = [f"{_fluxed(p['input'])}  <-->  {_fluxed(p['dual'])}"]
+    lines = [f"{p['input']}  <-->  {p['dual']}"]
     if "correspondence_h7" in p:
-        lines.append(f"  correspondence H^7 = {_group(p['correspondence_h7'])}")
+        lines.append(f"  correspondence H^7 = {p['correspondence_h7']}")
         lines.append(f"  common lifted flux = {p['lifted_flux']}")
     return "\n".join(lines)
 
@@ -355,7 +356,7 @@ def cmd_brieskorn(args) -> dict:
     # any other work.
     values = spectrum_json(bp) if args.spectrum else None
     payload = {
-        "exponents": list(bp.exponents),
+        "exponents": bp,
         "milnor_number": bp.milnor_number,
         **weighted_type_json(bp),
         "sphere_link_family": bp.in_sphere_link_family,
@@ -368,7 +369,7 @@ def cmd_brieskorn(args) -> dict:
 
 def brieskorn_table(p: dict) -> str:
     lines = [
-        f"exponents {_trusted(bk.BrieskornPham, tuple(p['exponents']))}",
+        f"exponents {p['exponents']}",
         f"  milnor number mu = {p['milnor_number']}",
         f"  degree ell = {p['degree']}, weights {tuple(p['weights'])}",
         f"  type {p['type']}, gorenstein parameter {p['gorenstein']}",
@@ -387,7 +388,7 @@ def cmd_lattice(args) -> dict:
     # Every index is at least 1, so every column of a row is in its support.
     IntMatrix.row_support.store(index_set, (tuple(range(n)),) * rank)
     return {
-        "exponents": list(bp.exponents),
+        "exponents": bp,
         "rank": rank,
         "index_set": index_set,
         "gram": lat.gram,
@@ -395,12 +396,11 @@ def cmd_lattice(args) -> dict:
 
 
 def lattice_table(p: dict) -> str:
-    bp = _trusted(bk.BrieskornPham, tuple(p["exponents"]))
     gram = p["gram"]
     # Each entry right-justified to width 3, as f"{x:3d}" writes it.
     cells = list(map(str.rjust, _decimals(gram.entries), repeat(3)))
     cols = gram.cols
-    lines = [f"milnor lattice of {bp}: rank {p['rank']}"]
+    lines = [f"milnor lattice of {p['exponents']}: rank {p['rank']}"]
     lines += ["  " + " ".join(cells[i : i + cols]) for i in range(0, len(cells), cols)]
     return "\n".join(lines)
 
@@ -409,7 +409,7 @@ def cmd_spectrum(args) -> dict:
     bp = bk.BrieskornPham.of(*args.exponents)
     values = spectrum_json(bp)
     return {
-        "exponents": list(bp.exponents),
+        "exponents": bp,
         "count": len(values),
         "min": values[0],
         "values": values,
@@ -418,7 +418,7 @@ def cmd_spectrum(args) -> dict:
 
 def spectrum_table(p: dict) -> str:
     return (
-        f"spectrum of {_trusted(bk.BrieskornPham, tuple(p['exponents']))} "
+        f"spectrum of {p['exponents']} "
         f"({p['count']} values, min {p['min']}):\n  "
         + " ".join(p["values"])
     )
@@ -497,25 +497,18 @@ def fano_table(p: dict) -> str:
 
 
 def cmd_isotropy(args) -> dict:
-    data = gr.link_isotropies(args.k, args.l)
     return {
         "k": args.k,
         "l": args.l,
         "weights": list(gr.family_weights(args.k)),
-        "isotropies": [
-            {"support": list(d.support), "b": d.b, "isotropy": list(d.isotropy)}
-            for d in data
-        ],
+        "isotropies": gr.link_isotropies(args.k, args.l),
     }
 
 
 def isotropy_table(p: dict) -> str:
     lines = [f"link k={p['k']}, weights {tuple(p['weights'])}, rep exponent l={p['l']}"]
     for d in p["isotropies"]:
-        lines.append(
-            f"  support {tuple(d['support'])}: b = {d['b']},"
-            f" isotropy Z_{d['b']} x Z_{p['l']}"
-        )
+        lines.append(f"  support {d.support}: b = {d.b}, isotropy Z_{d.b} x Z_{p['l']}")
     return "\n".join(lines)
 
 
@@ -524,15 +517,15 @@ def cmd_hodge(args) -> dict:
     return {
         "branch": args.branch,
         "count": len(diamonds),
-        "diamonds": [[list(row) for row in d.h] for d in diamonds],
+        "diamonds": diamonds,
     }
 
 
 def hodge_table(p: dict) -> str:
     blocks = [f"{p['count']} admissible diamond(s) on the {p['branch']} branch"]
-    for i, h in enumerate(p["diamonds"]):
+    for i, d in enumerate(p["diamonds"]):
         blocks.append(f"--- diamond {i + 1} ---")
-        blocks.append(_trusted(hg.HodgeDiamond, tuple(map(tuple, h))).triangle())
+        blocks.append(d.triangle())
     return "\n".join(blocks)
 
 
@@ -541,7 +534,7 @@ def cmd_kunneth(args) -> dict:
     return {
         "m": args.m,
         "k": args.k,
-        "cohomology": graded_json(coh),
+        "cohomology": coh,
         "metadata": {
             "torsion_degrees": [d for d, g in coh.items() if g.torsion],
             "note": (
@@ -577,7 +570,7 @@ def cmd_family_report(args) -> dict:
         rows.append(
             {
                 "k": k,
-                "exponents": list(bp.exponents),
+                "exponents": bp,
                 "mu": mu,
                 "mu_formula": mu_formula,
                 "mu_match": mu == mu_formula,
@@ -597,7 +590,7 @@ def family_report_table(p: dict) -> str:
     for r in p["rows"]:
         mark = "ok" if r["mu_match"] else "FAIL"
         lines.append(
-            f"{r['k']:>3} {str(tuple(r['exponents'])):>18} {r['mu']:>5} {mark:>5} "
+            f"{r['k']:>3} {str(r['exponents'].exponents):>18} {r['mu']:>5} {mark:>5} "
             f"{r['degree']:>5} {str(tuple(r['weights'])):>22} {r['type']:>6} "
             f"{r['gorenstein']:>10}"
         )

@@ -87,6 +87,8 @@ class HodgeDiamond:
 
     def __getitem__(self, pq) -> int:
         p, q = pq
+        if not (0 <= p <= DIM and 0 <= q <= DIM):
+            raise IndexError(pq)
         return self.h[p][q]
 
     def entries(self) -> dict:

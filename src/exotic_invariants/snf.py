@@ -122,6 +122,7 @@ class IntMatrix:
         return _trusted(IntMatrix, c, self.rows, tuple(x for j in range(c) for x in e[j::c]))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        _require(IntMatrix, "matrix product operand", (other,))
         if self.cols != other.rows:
             raise InvalidArgument(f"shape mismatch: {self.cols} vs {other.rows}")
         e, n, c = self.entries, self.cols, other.cols

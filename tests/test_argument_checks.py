@@ -6,6 +6,7 @@ it passes through, and a value the library built is not checked again."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -56,6 +57,63 @@ def test_type_checks_live_in_errors_only():
         if (path.name, scope) not in ALLOWED
     ]
     assert found == []
+
+
+CLI_FUNCTIONS = {
+    node.name: node
+    for node in ast.parse(inspect.getsource(cli)).body
+    if isinstance(node, ast.FunctionDef)
+}
+
+
+def _named(node):
+    """The object that node, a name or a dotted chain of attributes,
+    names in the `cli` module, or None."""
+    if isinstance(node, ast.Name):
+        return vars(cli).get(node.id)
+    if isinstance(node, ast.Attribute):
+        return getattr(_named(node.value), node.attr, None)
+    return None
+
+
+def library_calls(name):
+    """Sorted source of the calls that the `cli` function name makes, and
+    the `cli` functions it calls make, to a function, class or classmethod
+    of another module of the package: `_trusted` and every library
+    constructor among them."""
+    found, seen, todo = set(), set(), [name]
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(CLI_FUNCTIONS[fn]):
+            if not isinstance(node, ast.Call):
+                continue
+            module = getattr(_named(node.func), "__module__", None) or ""
+            if module == cli.__name__:
+                todo.append(node.func.id)
+            elif module.startswith("exotic_invariants."):
+                found.add(ast.unparse(node.func))
+    return sorted(found)
+
+
+def test_library_calls_finds_constructors_functions_and_helpers():
+    assert library_calls("cmd_milnor") == ["MilnorBundle", "lambda_invariant"]
+    assert library_calls("cmd_brieskorn") == ["bk.BrieskornPham.of", "bk.spectrum"]
+
+
+# A table prints the values its payload holds and builds none.  The one
+# exception: `kunneth_table` prints the bundle M(m, k - m), and its payload
+# holds the request's m and k, not the bundle, since its JSON form has no
+# bundle key.
+BUILDING_TABLES = {"kunneth_table": ["_trusted"]}
+
+
+def test_tables_print_values_and_build_none():
+    tables = [name for name in CLI_FUNCTIONS if name.endswith("_table")]
+    found = {name: library_calls(name) for name in tables}
+    assert {name: calls for name, calls in found.items() if calls} == BUILDING_TABLES
 
 
 @pytest.fixture

@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from exotic_invariants import brieskorn as bk
 from exotic_invariants import cli
+from exotic_invariants.abelian import Z, AbelianGroup, GradedGroups
+from exotic_invariants.bundles import MilnorBundle
 from exotic_invariants.cli import canonical_json, rational_str, run
+from exotic_invariants.groups import GroupConfig, LinkIsotropy, RepClass, theta7
+from exotic_invariants.hodge import HodgeDiamond
 from exotic_invariants.snf import IntMatrix
+from exotic_invariants.tduality import FluxedBundle
 from oracles import (
     canonical_json_oracle,
     cli_run_oracle,
@@ -326,15 +331,59 @@ def test_canonical_json_writes_a_matrix_as_its_rows(payload):
         {1: "x"},
         {"x": {"y": {None: 1}}},
         {"x": [1, Exponent.TWO, 3]},
+        # Library values with no JSON form.
+        {"x": RepClass(1)},
+        {"x": [GroupConfig()]},
+        {"x": {"y": theta7(1)}},
+        {"x": bk.milnor_lattice(bk.BrieskornPham.of(3, 3))},
     ],
     ids=[
         "float", "float in list", "integral float in list", "tuple", "set",
         "int key", "None key", "IntEnum in int list",
+        "RepClass", "GroupConfig in list", "Theta7Element in dict", "MilnorLattice",
     ],
 )
 def test_canonical_json_rejects_non_canonical_values(payload):
     with pytest.raises(TypeError):
         canonical_json(payload)
+
+
+def test_canonical_json_writes_each_library_value_as_its_form():
+    """Each of the seven library types a payload holds, at the top level,
+    nested in another value's form and in lists, against the same payload
+    written out as plain data here."""
+    bundle = MilnorBundle(2, -1)
+    diamond = HodgeDiamond.from_entries({(0, 0): 1, (1, 0): 1, (3, 4): 1, (4, 4): 1})
+    payload = {
+        "bundle": bundle,
+        "group": AbelianGroup(1, (2, 6)),
+        "graded": GradedGroups({0: Z, 4: AbelianGroup(0, (7,)), 7: Z}),
+        "trivial": GradedGroups(),
+        "fluxed": FluxedBundle(bundle, 5),
+        "singularity": bk.BrieskornPham.of(5, 3, 2, 2, 2),
+        "diamonds": [diamond],
+        "isotropies": [LinkIsotropy((0, 1), 2, (2, 3)), LinkIsotropy((1, 2, 4), 11, (11, 3))],
+    }
+    plain = {
+        "bundle": {"m": 2, "n": -1},
+        "group": {"free_rank": 1, "torsion": [2, 6]},
+        "graded": [
+            [0, {"free_rank": 1, "torsion": []}],
+            [4, {"free_rank": 0, "torsion": [7]}],
+            [7, {"free_rank": 1, "torsion": []}],
+        ],
+        "trivial": [],
+        "fluxed": {"bundle": {"m": 2, "n": -1}, "flux": 5},
+        "singularity": [5, 3, 2, 2, 2],
+        "diamonds": [
+            [[1, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1]]
+        ],
+        "isotropies": [
+            {"support": [0, 1], "b": 2, "isotropy": [2, 3]},
+            {"support": [1, 2, 4], "b": 11, "isotropy": [11, 3]},
+        ],
+    }
+    assert canonical_json(payload) == canonical_json_oracle(plain)
 
 
 @pytest.mark.parametrize(
@@ -381,10 +430,11 @@ def test_a_lattice_gram_is_written_from_its_stored_support(exps):
     "exps", [(3, 3), (5, 4, 3), (2, 2, 3, 2, 11), (2,) * 11 + (3,), (2,) * 12], ids=str
 )
 def test_lattice_table_rows_are_width_three_columns(exps):
-    lat = bk.milnor_lattice(bk.BrieskornPham(exps))
-    payload = {"exponents": list(exps), "rank": lat.rank, "gram": lat.gram}
+    bp = bk.BrieskornPham(exps)
+    lat = bk.milnor_lattice(bp)
+    payload = {"exponents": bp, "rank": lat.rank, "gram": lat.gram}
     header, *rows = cli.lattice_table(payload).split("\n")
-    assert header.endswith(f": rank {lat.rank}")
+    assert header == f"milnor lattice of {bp}: rank {lat.rank}"
     assert rows == ["  " + " ".join(f"{x:3d}" for x in row) for row in lat.gram.to_lists()]
 
 

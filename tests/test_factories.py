@@ -55,6 +55,7 @@ from exotic_invariants.hodge import (
     HodgeDiamond,
     branch_of_euler,
     ddbar_constraints_check,
+    enumerate_admissible_diamonds,
     hopf_manifold_cohomology,
 )
 from exotic_invariants.snf import IntMatrix, determinant, rank, smith_normal_form
@@ -224,6 +225,7 @@ REJECTED = {
     "IntMatrix.from_rows int row": (lambda: IntMatrix.from_rows([5]), InvalidArgument),
     "IntMatrix.from_diagonal int": (lambda: IntMatrix.from_diagonal(5), InvalidArgument),
     "IntMatrix int entries": (lambda: IntMatrix(1, 1, 5), InvalidArgument),
+    "IntMatrix @ int": (lambda: IntMatrix.identity(2) @ 5, InvalidArgument),
     "MilnorLattice int index set": (
         lambda: MilnorLattice(5, IntMatrix.zero(0, 0)),
         InvalidArgument,
@@ -290,6 +292,21 @@ def test_pair_indexed_values_are_not_iterable(value):
     with pytest.raises(InvalidArgument) as err:
         BrieskornPham(value)
     assert str(err.value) == f"exponents must be iterable: '{name}' object is not iterable"
+
+
+# Each refuses a pair outside its 5 x 5 grid with an IndexError naming it,
+# a negative index too: the diamond's nested tuples read h^{4,4} = 1 at
+# (-1, -1).
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (5, 0)], ids=str)
+@pytest.mark.parametrize(
+    "value",
+    [IntMatrix.identity(5), enumerate_admissible_diamonds("unit")[0]],
+    ids=["IntMatrix", "HodgeDiamond"],
+)
+def test_pair_indexed_values_refuse_pairs_outside_the_grid(value, pair):
+    with pytest.raises(IndexError) as err:
+        value[pair]
+    assert err.value.args == (pair,)
 
 
 # Collections are stored as the tuples their check returns, so a value
